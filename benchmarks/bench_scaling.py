@@ -11,8 +11,8 @@ Output: ``benchmarks/out/scaling.txt``.
 
 import pytest
 
-from repro.bench import format_table, write_json, write_report
-from repro.bench.runner import compare_dedup, measure
+from repro.bench import format_table, write_report
+from repro.bench.runner import measure
 from repro.programs import ProgramSpec, generate_program
 
 SIZES = (100, 200, 400, 800)
@@ -30,25 +30,6 @@ def test_scaling_point(benchmark, target):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _ROWS[target] = result
-
-
-def test_dedup_vs_seed_discipline(benchmark):
-    """The deduplicated worklist does strictly no more pops than the
-    seed discipline on the largest fixture of the family, with
-    node-identical may-alias sets.  The numbers land in
-    ``benchmarks/out/scaling_dedup.json`` and from there in the
-    repo-root ``BENCH_PR1.json`` trajectory file."""
-    target = SIZES[-1]
-    spec = ProgramSpec.for_target_nodes("scaling", target)
-    source = generate_program(spec)
-
-    def run():
-        return compare_dedup(f"scale{target}", source, k=3)
-
-    comparison = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_json("scaling_dedup.json", comparison.as_dict())
-    assert comparison.identical_may_alias, "dedup changed the may-alias sets"
-    assert comparison.pops_dedup <= comparison.pops_seed
 
 
 def test_scaling_report(benchmark):

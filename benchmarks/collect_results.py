@@ -1,89 +1,25 @@
 #!/usr/bin/env python3
-"""Assemble benchmark outputs into the tracked result files.
+"""Embed the benchmark tables into EXPERIMENTS.md.
 
 Run after ``pytest benchmarks/ --benchmark-only``::
 
-    python benchmarks/collect_results.py              # every section
-    python benchmarks/collect_results.py --sections pr5
-    python benchmarks/collect_results.py --sections tables,pr1 --seeds 10
+    python benchmarks/collect_results.py
 
-Sections (each tolerates missing inputs and failures in the others):
-
-* ``tables`` — embed ``benchmarks/out/*.txt`` into EXPERIMENTS.md.
-* ``pr1`` — ``BENCH_PR1.json``: deduplicated worklist vs seed
-  discipline on the largest scaling fixture.
-* ``pr2`` — ``BENCH_PR2.json``: the tracked difftest sweep.
-* ``pr3`` — ``BENCH_PR3.json``: lint layer on the scaling fixture.
-* ``pr5`` — ``BENCH_PR5.json``: the parallel/cache numbers — difftest
-  sweep serial vs ``--jobs 4`` and cold vs warm cache, the scale
-  fixture solved serially vs slice-parallel and cold vs warm cache,
-  plus the cross-job determinism check (stats documents must be equal
-  after ``strip_timing``).  ``cpu_count`` is recorded with every row:
-  on a single-core container the parallel rows are *expected* to show
-  overhead, not speedup — the numbers are honest, not aspirational.
-* ``pr6`` — ``BENCH_PR6.json``: the integer-ID kernel vs the reference
-  engine on the scaling fixture (serial rows continuing the
-  PR1/PR5 trajectory, >=10x acceptance), the cold-cache store-overhead
-  pin (<=10% over the plain solve) and the per-phase cache counters
-  (warm row must report hit rate exactly 1.0).
-* ``pr7`` — ``BENCH_PR7.json``: the bottom-up summary engine vs the
-  serial kernel on the scaling fixture at ``--jobs 1`` and ``--jobs
-  4`` (oversubscribed past the core clamp so the worker pool really
-  runs), the summary-vs-kernel work ratio in worklist pops, the
-  byte-identical cross-job determinism pin, and the per-procedure
-  cache cold -> warm roundtrip (warm phase must replay >= 90% of
-  envelope lookups from cache).
-* ``must`` — ``BENCH_PR8.json``: the must-alias under-approximation
-  on scale240/scale800 — must solve wall clock vs the kernel may
-  solve, whole-program [must, may] interval widths, and the lint
-  possible -> definite upgrade counts with and without ``--must``.
-* ``corpus`` — ``BENCH_PR9.json``: the real-code corpus under
-  ``corpus/`` swept cold then warm against one cache — per-file wall
-  times, LR vs Weihl untruncated alias counts and the precision ratio,
-  coverage-ledger percentages and lowering-event counts ("no silent
-  havoc"), synthesized stubs, and the warm-pass cache hit rate over
-  cacheable (complete) files.
-* ``serve`` — ``BENCH_PR10.json``: the incremental daemon under the
-  seeded loadgen (``repro.serve.loadgen``) — cold first-solve wall
-  times, warm mixed edit/query/lint latencies (p50/p99) and
-  requests/sec, the failure ledger (must be all-zero), and the
-  invalidation-scoping ratio (post-edit solves whose cache misses
-  stayed inside the edited procedures; acceptance >= 90%).  All on
-  whatever ``cpu_count`` reports — on a single core the daemon's
-  one solver lane serializes solves, so throughput is honest, not
-  aspirational.
+Every ``benchmarks/out/*.txt`` table is embedded, in name order, as the
+appendix of EXPERIMENTS.md, replacing the previous appendix.  Wall
+times, per-layer splits and fact-set digests come from
+``perfbench/run.py`` (see perfbench/README.md); the ``BENCH_PR*.json``
+files at the repository root are the history of the per-PR sections
+this script used to hold.
 """
 
 import argparse
-import json
-import os
 import pathlib
-import sys
-import time
-import traceback
 
 MARKER = "## Appendix — measured tables (latest benchmark run)"
-BENCH_SCHEMA = "repro-bench/1"
-ALL_SECTIONS = (
-    "tables",
-    "pr1",
-    "pr2",
-    "pr3",
-    "pr5",
-    "pr6",
-    "pr7",
-    "must",
-    "corpus",
-    "serve",
-)
 
 
-def _ensure_src(root: pathlib.Path) -> None:
-    if str(root / "src") not in sys.path:
-        sys.path.insert(0, str(root / "src"))
-
-
-def collect_tables(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
+def collect_tables(root: pathlib.Path, out_dir: pathlib.Path) -> None:
     experiments = root / "EXPERIMENTS.md"
     tables = []
     for path in sorted(out_dir.glob("*.txt")):
@@ -99,930 +35,10 @@ def collect_tables(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
     print(f"embedded {len(tables)} tables into EXPERIMENTS.md")
 
 
-def dedup_comparison(root: pathlib.Path, out_dir: pathlib.Path) -> dict:
-    fragment = out_dir / "scaling_dedup.json"
-    if fragment.exists():
-        return json.loads(fragment.read_text())
-    # No fragment — compute inline on the largest scaling fixture.
-    _ensure_src(root)
-    from repro.bench.runner import compare_dedup
-    from repro.programs import ProgramSpec, generate_program
-
-    from bench_scaling import SIZES  # noqa: E402  (benchmarks/ on sys.path)
-
-    target = SIZES[-1]
-    spec = ProgramSpec.for_target_nodes("scaling", target)
-    source = generate_program(spec)
-    return compare_dedup(f"scale{target}", source, k=3).as_dict()
-
-
-def section_pr1(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    comparison = dedup_comparison(root, out_dir)
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 1,
-        "description": (
-            "Deduplicated worklist vs seed discipline on the largest "
-            "scaling fixture: pops must not increase and the may-alias "
-            "sets must be node-identical."
-        ),
-        "dedup_vs_seed": comparison,
-    }
-    _write(root / "BENCH_PR1.json", payload)
-    if not comparison.get("identical_may_alias", False):
-        raise RuntimeError("dedup changed the may-alias sets — investigate")
-    if comparison["pops_dedup"] > comparison["pops_seed"]:
-        raise RuntimeError("dedup increased worklist pops — investigate")
-
-
-def difftest_sweep(root: pathlib.Path, seeds: int, jobs: int = 1, cache_dir=None) -> dict:
-    """The repro-difftest/1 stats document for one tracked sweep."""
-    _ensure_src(root)
-    from repro.difftest import DifftestConfig, run_difftest_suite
-
-    config = DifftestConfig()
-    suite = run_difftest_suite(
-        range(1, seeds + 1),
-        config,
-        stop_on_failure=False,
-        jobs=jobs,
-        cache_dir=cache_dir,
-    )
-    return {
-        "schema": "repro-difftest/1",
-        "config": {
-            "k": config.k,
-            "draws": config.draws,
-            "max_facts": config.max_facts,
-            "seeds": seeds,
-            "jobs": jobs,
-        },
-        "suite": suite.stats_dict(),
-        "failures": [v.as_dict() for v in suite.failures],
-    }
-
-
-def section_pr2(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    sweep = difftest_sweep(root, seeds=args.seeds)
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 2,
-        "description": (
-            "Differential-testing sweep: dynamic/exact oracle containment, "
-            "Weihl coverage and budget degradation over generated programs "
-            "(equivalent to `repro difftest --stats-json`)."
-        ),
-        "difftest": sweep,
-    }
-    _write(root / "BENCH_PR2.json", payload)
-    if sweep["suite"]["failures"]:
-        raise RuntimeError("difftest sweep found soundness violations — investigate")
-
-
-def lint_scale(root: pathlib.Path, target: int) -> dict:
-    """Lint the largest scaling fixture under LR with the Weihl
-    comparison: wall time, findings per detector, FP delta."""
-    _ensure_src(root)
-    from repro.lint import run_lint
-    from repro.programs import ProgramSpec, generate_program
-
-    spec = ProgramSpec.for_target_nodes("scaling", target)
-    source = generate_program(spec)
-    report = run_lint(source, provider="lr", compare_with="weihl", k=3)
-    return {
-        "program": f"scale{target}",
-        "k": 3,
-        "analysis_seconds": round(report.analysis_seconds, 3),
-        "lint_seconds": round(report.lint_seconds, 3),
-        "findings": len(report.findings),
-        "findings_by_rule": dict(sorted(report.rule_counts().items())),
-        "weihl_findings_by_rule": dict(sorted(report.comparison_counts.items())),
-        "fp_delta": dict(sorted(report.fp_delta().items())),
-        "fp_avoided": sum(d for d in report.fp_delta().values() if d > 0),
-    }
-
-
-def section_pr3(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    sweep = difftest_sweep(root, seeds=args.seeds)
-    lint = lint_scale(root, args.scale_target)
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 3,
-        "description": (
-            "Lint layer on the largest scaling fixture: detector wall "
-            "time, findings per rule, and the LR-vs-Weihl false-positive "
-            "delta (positive = findings the flow-insensitive baseline "
-            "emits that flow sensitivity rules out).  Oracle-backed "
-            "detector soundness rides in the difftest sweep's "
-            "lint_soundness check."
-        ),
-        "lint_scale": lint,
-        "lint_soundness": sweep["suite"]["checks"].get("lint_soundness", {}),
-        "lint_suite": sweep["suite"].get("lint", {}),
-    }
-    _write(root / "BENCH_PR3.json", payload)
-    if sweep["suite"]["failures"]:
-        raise RuntimeError("difftest sweep found soundness violations — investigate")
-
-
-def _difftest_rows(root: pathlib.Path, args, tmp: pathlib.Path) -> dict:
-    """Serial vs parallel, then cold vs warm cache, for one sweep."""
-    from repro.core.metrics import strip_timing
-
-    seeds = args.pr5_seeds
-    rows = []
-    t0 = time.perf_counter()
-    serial = difftest_sweep(root, seeds=seeds, jobs=1)
-    rows.append(_sweep_row("serial", jobs=1, seconds=time.perf_counter() - t0, sweep=serial))
-
-    t0 = time.perf_counter()
-    parallel = difftest_sweep(root, seeds=seeds, jobs=args.jobs)
-    rows.append(
-        _sweep_row("parallel", jobs=args.jobs, seconds=time.perf_counter() - t0, sweep=parallel)
-    )
-
-    cache_dir = tmp / "difftest-cache"
-    t0 = time.perf_counter()
-    cold = difftest_sweep(root, seeds=seeds, jobs=args.jobs, cache_dir=cache_dir)
-    rows.append(
-        _sweep_row("cold-cache", jobs=args.jobs, seconds=time.perf_counter() - t0, sweep=cold)
-    )
-    t0 = time.perf_counter()
-    warm = difftest_sweep(root, seeds=seeds, jobs=args.jobs, cache_dir=cache_dir)
-    rows.append(
-        _sweep_row("warm-cache", jobs=args.jobs, seconds=time.perf_counter() - t0, sweep=warm)
-    )
-
-    serial_doc = strip_timing(serial["suite"])
-    parallel_doc = strip_timing(parallel["suite"])
-    determinism_ok = serial_doc == parallel_doc
-    warm_solves_skipped = warm["suite"]["cache"]["hit"]
-    programs = warm["suite"]["programs"]
-    return {
-        "seeds": seeds,
-        "rows": rows,
-        "determinism_serial_equals_parallel": determinism_ok,
-        "warm_cache_skip_ratio": round(warm_solves_skipped / max(1, programs), 4),
-        "speedup_parallel_vs_serial": _speedup(rows[0], rows[1]),
-        "speedup_warm_vs_cold": _speedup(rows[2], rows[3]),
-    }
-
-
-def _sweep_row(label: str, jobs: int, seconds: float, sweep: dict) -> dict:
-    suite = sweep["suite"]
-    return {
-        "label": label,
-        "jobs": jobs,
-        "wall_seconds": round(seconds, 3),
-        "programs": suite["programs"],
-        "failures": suite["failures"],
-        "cache_hit_rate": suite["cache"]["hit_rate"],
-        "cache_hits": suite["cache"]["hit"],
-        "cache_misses": suite["cache"]["miss"],
-    }
-
-
-def _speedup(base_row: dict, new_row: dict):
-    base, new = base_row["wall_seconds"], new_row["wall_seconds"]
-    return round(base / new, 3) if new > 0 else None
-
-
-def _scale_rows(root: pathlib.Path, args, tmp: pathlib.Path) -> dict:
-    """One large program: serial solve vs slice-parallel solve, and a
-    cold vs warm cache roundtrip."""
-    _ensure_src(root)
-    from repro.cache.store import SolutionCache
-    from repro.cache.solve import solve_with_cache
-    from repro.core.analysis import analyze_program
-    from repro.frontend.semantics import parse_and_analyze
-    from repro.icfg.builder import build_icfg
-    from repro.parallel import solve_sliced
-    from repro.programs import ProgramSpec, generate_program
-
-    target = args.scale_target
-    spec = ProgramSpec.for_target_nodes("scaling", target)
-    source = generate_program(spec)
-    k = 3
-
-    def fresh():
-        analyzed = parse_and_analyze(source)
-        return analyzed, build_icfg(analyzed)
-
-    rows = []
-    analyzed, icfg = fresh()
-    t0 = time.perf_counter()
-    serial = analyze_program(analyzed, icfg, k=k, on_budget="partial")
-    rows.append(
-        {
-            "label": "serial",
-            "jobs": 1,
-            "wall_seconds": round(time.perf_counter() - t0, 3),
-            "facts": len(serial.store),
-            "cache_hit_rate": 0.0,
-        }
-    )
-
-    analyzed, icfg = fresh()
-    t0 = time.perf_counter()
-    sliced = solve_sliced(source, analyzed, icfg, k=k, jobs=args.jobs)
-    rows.append(
-        {
-            "label": "slice-parallel",
-            "jobs": args.jobs,
-            "wall_seconds": round(time.perf_counter() - t0, 3),
-            "facts": len(sliced.store),
-            "cache_hit_rate": 0.0,
-        }
-    )
-    facts_equal = {(n, repr(a), repr(p)) for (n, a, p), _ in serial.store.facts()} == {
-        (n, repr(a), repr(p)) for (n, a, p), _ in sliced.store.facts()
-    }
-
-    cache = SolutionCache(tmp / "scale-cache")
-    for label in ("cold-cache", "warm-cache"):
-        analyzed, icfg = fresh()
-        # Snapshot the counters around each measured phase: every row
-        # reports its own lookups only.  (Reading the cumulative
-        # counters here is what made BENCH_PR5's warm row claim a 0.5
-        # hit rate on an all-hit phase.)
-        before = cache.counters.snapshot()
-        t0 = time.perf_counter()
-        _solution, status = solve_with_cache(
-            analyzed, icfg, k=k, on_budget="partial", cache=cache
-        )
-        seconds = time.perf_counter() - t0
-        phase = cache.counters.since(before)
-        rows.append(
-            {
-                "label": label,
-                "jobs": 1,
-                "wall_seconds": round(seconds, 3),
-                "cache_status": status,
-                "cache_hit_rate": phase.hit_rate,
-                "cache_hits": phase.hits,
-                "cache_misses": phase.misses,
-            }
-        )
-
-    return {
-        "program": f"scale{target}",
-        "k": k,
-        "rows": rows,
-        "sliced_facts_equal_serial": facts_equal,
-        "speedup_parallel_vs_serial": _speedup(rows[0], rows[1]),
-        "speedup_warm_vs_cold": _speedup(rows[2], rows[3]),
-    }
-
-
-def section_pr5(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-pr5-") as tmp_name:
-        tmp = pathlib.Path(tmp_name)
-        difftest = _difftest_rows(root, args, tmp)
-        scale = _scale_rows(root, args, tmp)
-
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 5,
-        "description": (
-            "Parallel sharded driver + content-addressed result cache: "
-            "difftest sweep and the scaling fixture, serial vs --jobs N "
-            "and cold vs warm cache.  Wall-clock speedups are "
-            "hardware-bound — cpu_count below is what the numbers were "
-            "measured on; with one core the process pool and the slice "
-            "closure add overhead by construction, and the cache rows "
-            "carry the repeat-run speedup instead."
-        ),
-        "cpu_count": os.cpu_count(),
-        "jobs": args.jobs,
-        "difftest_sweep": difftest,
-        "scale_fixture": scale,
-    }
-    _write(root / "BENCH_PR5.json", payload)
-    if not difftest["determinism_serial_equals_parallel"]:
-        raise RuntimeError("parallel sweep stats differ from serial — investigate")
-    if not scale["sliced_facts_equal_serial"]:
-        raise RuntimeError("sliced solve diverged from serial — investigate")
-    if difftest["warm_cache_skip_ratio"] < 0.9:
-        raise RuntimeError(
-            f"warm cache skipped only {difftest['warm_cache_skip_ratio']:.0%} "
-            "of solves (acceptance: >= 90%)"
-        )
-
-
-def _engine_rows(root: pathlib.Path, args, tmp: pathlib.Path) -> dict:
-    """Serial reference vs serial kernel on the scaling fixture, plus a
-    cold/warm cache roundtrip on the kernel (per-phase counters)."""
-    _ensure_src(root)
-    from repro.cache.store import SolutionCache
-    from repro.cache.solve import solve_with_cache
-    from repro.core.analysis import analyze_program
-    from repro.frontend.semantics import parse_and_analyze
-    from repro.icfg.builder import build_icfg
-    from repro.programs import ProgramSpec, generate_program
-
-    target = args.scale_target
-    spec = ProgramSpec.for_target_nodes("scaling", target)
-    source = generate_program(spec)
-    k = 3
-
-    def fresh():
-        analyzed = parse_and_analyze(source)
-        return analyzed, build_icfg(analyzed)
-
-    rows = []
-    solutions = {}
-    for engine in ("reference", "kernel"):
-        analyzed, icfg = fresh()
-        t0 = time.perf_counter()
-        solution = analyze_program(
-            analyzed, icfg, k=k, on_budget="partial", engine=engine
-        )
-        seconds = time.perf_counter() - t0
-        solutions[engine] = solution
-        report = solution.engine.as_dict()
-        rows.append(
-            {
-                "label": f"serial-{engine}",
-                "engine": engine,
-                "jobs": 1,
-                "wall_seconds": round(seconds, 3),
-                "facts": len(solution.store),
-                "worklist_pops": report.get("worklist_pops"),
-                "join_calls": report.get("join_calls"),
-                "join_fanout": report.get("join_fanout"),
-            }
-        )
-    fact_sets_identical = dict(solutions["reference"].store.facts()) == dict(
-        solutions["kernel"].store.facts()
-    )
-    del solutions
-
-    cache = SolutionCache(tmp / "engine-cache")
-    for label in ("cold-cache", "warm-cache"):
-        analyzed, icfg = fresh()
-        before = cache.counters.snapshot()
-        t0 = time.perf_counter()
-        _solution, status = solve_with_cache(
-            analyzed, icfg, k=k, on_budget="partial", cache=cache
-        )
-        seconds = time.perf_counter() - t0
-        phase = cache.counters.since(before)
-        rows.append(
-            {
-                "label": label,
-                "engine": "kernel",
-                "jobs": 1,
-                "wall_seconds": round(seconds, 3),
-                "cache_status": status,
-                "cache_hit_rate": phase.hit_rate,
-                "cache_hits": phase.hits,
-                "cache_misses": phase.misses,
-            }
-        )
-
-    kernel_wall = rows[1]["wall_seconds"]
-    cold_wall = rows[2]["wall_seconds"]
-    store_overhead = (
-        round((cold_wall - kernel_wall) / kernel_wall, 4) if kernel_wall else None
-    )
-    return {
-        "program": f"scale{target}",
-        "k": k,
-        "rows": rows,
-        "fact_sets_identical": fact_sets_identical,
-        "speedup_kernel_vs_reference": _speedup(rows[0], rows[1]),
-        "store_overhead_ratio": store_overhead,
-        "speedup_warm_vs_cold": _speedup(rows[2], rows[3]),
-    }
-
-
-def section_pr6(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-pr6-") as tmp_name:
-        tmp = pathlib.Path(tmp_name)
-        engines = _engine_rows(root, args, tmp)
-
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 6,
-        "description": (
-            "Integer-ID fact kernel vs the reference engine on the "
-            "scaling fixture (continuing the BENCH_PR1/PR5 serial "
-            "trajectory), plus the kernel's cold/warm cache roundtrip "
-            "with per-phase counters.  store_overhead_ratio is the "
-            "cold-cache wall over the plain kernel solve minus one — "
-            "the price of serializing and persisting the solution, "
-            "pinned at <= 10% now that the envelope is written from "
-            "the kernel's flat columns."
-        ),
-        "cpu_count": os.cpu_count(),
-        "engines": engines,
-    }
-    _write(root / "BENCH_PR6.json", payload)
-    if not engines["fact_sets_identical"]:
-        raise RuntimeError("kernel fact set diverged from reference — investigate")
-    speedup = engines["speedup_kernel_vs_reference"]
-    if speedup is None or speedup < 10.0:
-        raise RuntimeError(
-            f"kernel speedup {speedup} below the 10x acceptance bar"
-        )
-    overhead = engines["store_overhead_ratio"]
-    if overhead is None or overhead > 0.10:
-        raise RuntimeError(
-            f"cache store overhead {overhead} above the 10% bar"
-        )
-    warm = engines["rows"][3]
-    if warm["cache_status"] != "hit" or warm["cache_hit_rate"] != 1.0:
-        raise RuntimeError(
-            f"warm-cache row must be an all-hit phase, got {warm}"
-        )
-
-
-def _summary_rows(root: pathlib.Path, args, tmp: pathlib.Path) -> dict:
-    """Serial kernel vs the summary engine at jobs 1 and 4 on the
-    scaling fixture, plus a cold/warm per-procedure cache roundtrip."""
-    _ensure_src(root)
-    from repro.cache.store import SolutionCache
-    from repro.core.analysis import analyze_program
-    from repro.frontend.semantics import parse_and_analyze
-    from repro.icfg.builder import build_icfg
-    from repro.io import solution_to_dict
-    from repro.programs import ProgramSpec, generate_program
-    from repro.summaries.solver import solve_summary
-
-    target = args.scale_target
-    spec = ProgramSpec.for_target_nodes("scaling", target)
-    source = generate_program(spec)
-    k = 3
-
-    # One fresh parse per solve: rebuilding the ICFG on a shared
-    # analyzed program shifts the temp-name uniquifiers and would make
-    # the byte-identity comparison below fail spuriously.
-    def fresh():
-        analyzed = parse_and_analyze(source)
-        return analyzed, build_icfg(analyzed)
-
-    rows = []
-    analyzed, icfg = fresh()
-    t0 = time.perf_counter()
-    kernel = analyze_program(analyzed, icfg, k=k, on_budget="partial", engine="kernel")
-    kernel_report = kernel.engine.as_dict()
-    rows.append(
-        {
-            "label": "serial-kernel",
-            "engine": "kernel",
-            "jobs": 1,
-            "wall_seconds": round(time.perf_counter() - t0, 3),
-            "facts": len(kernel.store),
-            "worklist_pops": kernel_report.get("worklist_pops"),
-        }
-    )
-    kernel_facts = dict(kernel.store.facts())
-
-    summary_docs = {}
-    facts_equal_kernel = True
-    for jobs in (1, args.jobs):
-        analyzed, icfg = fresh()
-        t0 = time.perf_counter()
-        solution = solve_summary(
-            analyzed, icfg, k=k, jobs=jobs, on_budget="partial", oversubscribe=True
-        )
-        seconds = time.perf_counter() - t0
-        report = solution.engine.as_dict()
-        rows.append(
-            {
-                "label": f"summary-jobs{jobs}",
-                "engine": "summary",
-                "jobs": jobs,
-                "wall_seconds": round(seconds, 3),
-                "facts": len(solution.store),
-                "worklist_pops": report.get("worklist_pops"),
-                "work_ratio_vs_kernel": (
-                    round(report["worklist_pops"] / kernel_report["worklist_pops"], 3)
-                    if kernel_report.get("worklist_pops")
-                    else None
-                ),
-            }
-        )
-        facts_equal_kernel &= dict(solution.store.facts()) == kernel_facts
-        summary_docs[jobs] = json.dumps(
-            solution_to_dict(solution, packed=True), sort_keys=True
-        )
-    jobs_byte_identical = len(set(summary_docs.values())) == 1
-
-    # Per-procedure envelope cache: a cold solve populates one envelope
-    # per (procedure, inputs-digest) drain, a warm re-solve must replay
-    # almost all of them.
-    cache = SolutionCache(tmp / "summary-cache")
-    cache_rows = []
-    for label in ("cold-cache", "warm-cache"):
-        analyzed, icfg = fresh()
-        before = cache.counters.snapshot()
-        t0 = time.perf_counter()
-        solve_summary(
-            analyzed, icfg, k=k, jobs=1, on_budget="partial",
-            cache=cache, source=source,
-        )
-        seconds = time.perf_counter() - t0
-        phase = cache.counters.since(before)
-        cache_rows.append(
-            {
-                "label": label,
-                "engine": "summary",
-                "jobs": 1,
-                "wall_seconds": round(seconds, 3),
-                "cache_hit_rate": phase.hit_rate,
-                "cache_hits": phase.hits,
-                "cache_misses": phase.misses,
-            }
-        )
-    rows.extend(cache_rows)
-
-    return {
-        "program": f"scale{target}",
-        "k": k,
-        "rows": rows,
-        "fact_sets_identical_kernel_vs_summary": facts_equal_kernel,
-        "jobs_byte_identical": jobs_byte_identical,
-        "speedup_summary_vs_kernel": _speedup(rows[0], rows[1]),
-        "speedup_jobs_vs_serial": _speedup(rows[1], rows[2]),
-        "warm_hit_rate": cache_rows[1]["cache_hit_rate"],
-        "speedup_warm_vs_cold": _speedup(cache_rows[0], cache_rows[1]),
-    }
-
-
-def section_pr7(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-pr7-") as tmp_name:
-        tmp = pathlib.Path(tmp_name)
-        summaries = _summary_rows(root, args, tmp)
-
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 7,
-        "description": (
-            "Bottom-up procedure summaries vs the serial kernel on the "
-            "scaling fixture.  The summary engine pays for condensation "
-            "and instantiation in worklist pops (work_ratio_vs_kernel) "
-            "and buys back per-procedure incrementality: the warm-cache "
-            "row replays per-procedure envelopes instead of re-solving. "
-            "cpu_count is what the numbers were measured on — the jobs-4 "
-            "row is oversubscribed on fewer cores, so its wall clock "
-            "shows pool overhead, not speedup; the byte-identity pin is "
-            "the point of that row."
-        ),
-        "cpu_count": os.cpu_count(),
-        "jobs": args.jobs,
-        "summaries": summaries,
-    }
-    _write(root / "BENCH_PR7.json", payload)
-    if not summaries["fact_sets_identical_kernel_vs_summary"]:
-        raise RuntimeError("summary fact set diverged from kernel — investigate")
-    if not summaries["jobs_byte_identical"]:
-        raise RuntimeError("summary solutions differ across job counts — investigate")
-    if summaries["warm_hit_rate"] < 0.9:
-        raise RuntimeError(
-            f"warm per-procedure cache hit rate {summaries['warm_hit_rate']} "
-            "below the 90% bar"
-        )
-
-
-def _must_row(root: pathlib.Path, target: int, k: int = 3) -> dict:
-    """One scaling program: may solve vs must solve wall clock, the
-    whole-program interval, and the lint upgrade counts."""
-    _ensure_src(root)
-    from repro.core.kernel import KernelAnalysis
-    from repro.frontend import parse_and_analyze
-    from repro.icfg import IcfgBuilder
-    from repro.lint import run_lint
-    from repro.must import solve_must
-    from repro.programs import ProgramSpec, generate_program
-
-    spec = ProgramSpec.for_target_nodes("scaling", target)
-    source = generate_program(spec)
-    analyzed = parse_and_analyze(source)
-    icfg = IcfgBuilder(analyzed).build()
-
-    t0 = time.perf_counter()
-    store = KernelAnalysis(analyzed, icfg, k=k).run()
-    kernel_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    must = solve_must(analyzed, icfg, k=k)
-    must_wall = time.perf_counter() - t0
-
-    may_total = sum(len(store.pairs_at(node.nid)) for node in icfg.nodes)
-    must_total = must.total_pairs()
-
-    plain = run_lint(source, k=k)
-    upgraded = run_lint(source, k=k, must=True)
-    return {
-        "program": f"scale{target}",
-        "k": k,
-        "icfg_nodes": len(icfg.nodes),
-        "kernel_wall_seconds": round(kernel_wall, 3),
-        "must_wall_seconds": round(must_wall, 3),
-        "must_over_kernel_ratio": (
-            round(must_wall / kernel_wall, 4) if kernel_wall else None
-        ),
-        "may_node_pairs": may_total,
-        "must_node_pairs": must_total,
-        "interval_width": may_total - must_total,
-        "must_classes": must.total_classes(),
-        "lint_findings": len(upgraded.findings),
-        "definite_without_must": plain.definite_count(),
-        "definite_with_must": upgraded.definite_count(),
-        "upgraded_findings": upgraded.definite_count() - plain.definite_count(),
-    }
-
-
-def section_must(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    rows = [_must_row(root, target) for target in (240, args.scale_target)]
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 8,
-        "description": (
-            "Must-alias under-approximation on the scaling fixtures: "
-            "the must solve's wall clock relative to the kernel may "
-            "solve (must_over_kernel_ratio), the whole-program "
-            "[must, may] interval (width = may - must node pairs), and "
-            "the lint confidence upgrades bought by the must side "
-            "(upgraded_findings = definite findings gained by --must)."
-        ),
-        "cpu_count": os.cpu_count(),
-        "rows": rows,
-    }
-    _write(root / "BENCH_PR8.json", payload)
-    for row in rows:
-        if row["interval_width"] < 0:
-            raise RuntimeError(
-                f"{row['program']}: must pairs exceed may pairs — "
-                "the under-approximation is unsound, investigate"
-            )
-        if row["upgraded_findings"] < 0:
-            raise RuntimeError(
-                f"{row['program']}: --must lost definite findings — investigate"
-            )
-
-
-def _corpus_rows(report: dict) -> list:
-    rows = []
-    for entry in report["files"]:
-        if entry["status"] != "ok":
-            rows.append(
-                {
-                    "file": entry["path"],
-                    "status": entry["status"],
-                    "error": entry.get("error"),
-                    "seconds": entry.get("seconds"),
-                }
-            )
-            continue
-        precision = entry["precision"]
-        ledger = entry["ledger"]
-        rows.append(
-            {
-                "file": entry["path"],
-                "status": "ok",
-                "seconds": entry["seconds"],
-                "complete": entry["solution"]["complete"],
-                "icfg_nodes": entry["solution"]["icfg_nodes"],
-                "lr_untruncated": precision["lr_untruncated"],
-                "weihl_untruncated": precision["weihl_untruncated"],
-                "ratio_weihl_over_lr": precision["ratio_weihl_over_lr"],
-                "coverage_percent": ledger["coverage_percent"],
-                "lowering_events": ledger["event_counts"],
-                "stubs": (entry.get("stubs") or {}).get("stubbed", []),
-                "lint_findings": entry["lint"]["findings"],
-                "cache": entry["cache"],
-            }
-        )
-    return rows
-
-
-def section_corpus(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    _ensure_src(root)
-    import shutil
-    import tempfile
-
-    from repro.corpus import run_corpus
-
-    corpus_root = root / "corpus"
-    cache_dir = tempfile.mkdtemp(prefix="repro-corpus-cache-")
-    try:
-        cold = run_corpus(
-            [corpus_root], k=args.corpus_k, jobs=args.jobs, cache_dir=cache_dir
-        )
-        warm = run_corpus(
-            [corpus_root], k=args.corpus_k, jobs=args.jobs, cache_dir=cache_dir
-        )
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 9,
-        "description": (
-            "Real-code corpus precision sweep (the Table 1 analogue on "
-            "vendored C files): per-file LR vs Weihl untruncated alias "
-            "counts, lenient-lowering coverage percentages with every "
-            "lowering event counted, synthesized stubs, wall times, and "
-            "the cold -> warm cache behaviour.  Partial (budget-bound) "
-            "solutions are reported with complete=false and are never "
-            "cached."
-        ),
-        "cpu_count": os.cpu_count(),
-        "k": args.corpus_k,
-        "jobs": args.jobs,
-        "cold": {"files": _corpus_rows(cold), "aggregate": cold["aggregate"]},
-        "warm": {"files": _corpus_rows(warm), "aggregate": warm["aggregate"]},
-    }
-    _write(root / "BENCH_PR9.json", payload)
-
-    agg = warm["aggregate"]
-    hard = agg["parse_errors"] + agg["semantic_errors"] + agg["shard_failures"]
-    if hard:
-        raise RuntimeError(f"corpus run had {hard} hard failures — investigate")
-    cacheable = agg["files_ok"] - agg["files_partial"]
-    hits = agg["cache"]["hits"]
-    if cacheable and hits < 0.9 * cacheable:
-        raise RuntimeError(
-            f"warm corpus pass hit cache only {hits}/{cacheable} times"
-        )
-
-
-def section_serve(root: pathlib.Path, out_dir: pathlib.Path, args) -> None:
-    _ensure_src(root)
-    import shutil
-    import tempfile
-
-    from repro.serve.loadgen import LoadClient, boot_daemon, run_load
-
-    cache_dir = tempfile.mkdtemp(prefix="repro-serve-bench-")
-    process = None
-    try:
-        process, host, port = boot_daemon(
-            jobs=args.jobs, k=3, cache_dir=cache_dir
-        )
-        client = LoadClient(host, port)
-        try:
-            report = run_load(
-                client,
-                seed=args.serve_seed,
-                requests=args.serve_requests,
-                programs=args.serve_programs,
-            )
-        finally:
-            client.close()
-    finally:
-        if process is not None:
-            process.terminate()
-            try:
-                process.wait(timeout=30)
-            except Exception:
-                process.kill()
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "pr": 10,
-        "description": (
-            "Incremental serve daemon under the seeded loadgen: cold "
-            "first solves, warm mixed edit/query/lint latencies and "
-            "req/s against one resident session, the failure ledger, "
-            "and the invalidation-scoping ratio (every edit touches "
-            "one procedure body, so a healthy daemon re-solves only "
-            "that procedure and replays the rest from the "
-            "per-procedure cache).  cpu_count is what the numbers were "
-            "measured on — the daemon runs one solver lane, so req/s "
-            "is bounded by single-solve wall clock, by design."
-        ),
-        "cpu_count": os.cpu_count(),
-        "jobs": args.jobs,
-        "loadgen": report,
-    }
-    _write(root / "BENCH_PR10.json", payload)
-
-    failures = sum(report["failures"].values())
-    if failures:
-        raise RuntimeError(
-            f"serve loadgen recorded {failures} failures "
-            f"({report['failures']}) — investigate"
-        )
-    scoped = report["edit_scoped_ratio"]
-    edits = (report["server_metrics"].get("session") or {}).get(
-        "post_edit_solves", 0
-    )
-    if edits and (scoped is None or scoped < 0.9):
-        raise RuntimeError(
-            f"edit-scoped ratio {scoped} below the 90% bar over "
-            f"{edits} post-edit solves — invalidation is leaking"
-        )
-
-
-def _write(path: pathlib.Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-
-
-SECTION_RUNNERS = {
-    "tables": collect_tables,
-    "pr1": section_pr1,
-    "pr2": section_pr2,
-    "pr3": section_pr3,
-    "pr5": section_pr5,
-    "pr6": section_pr6,
-    "pr7": section_pr7,
-    "must": section_must,
-    "corpus": section_corpus,
-    "serve": section_serve,
-}
-
-
-def parse_args(argv=None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--sections",
-        default=",".join(ALL_SECTIONS),
-        help=f"comma-separated subset of {ALL_SECTIONS} (default: all)",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        default=40,
-        help="difftest sweep size for pr2/pr3 (default 40)",
-    )
-    parser.add_argument(
-        "--pr5-seeds",
-        type=int,
-        default=12,
-        help="difftest sweep size for the pr5 serial/parallel rows (default 12)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="job count for the pr5 parallel rows (default 4)",
-    )
-    parser.add_argument(
-        "--scale-target",
-        type=int,
-        default=800,
-        help="scaling-fixture node target for pr3/pr5 (default 800)",
-    )
-    parser.add_argument(
-        "--corpus-k",
-        type=int,
-        default=1,
-        help="k-limit for the corpus section (default 1, Table 1 style)",
-    )
-    parser.add_argument(
-        "--serve-requests",
-        type=int,
-        default=200,
-        help="warm mixed requests for the serve section (default 200)",
-    )
-    parser.add_argument(
-        "--serve-programs",
-        type=int,
-        default=3,
-        help="resident programs for the serve section (default 3)",
-    )
-    parser.add_argument(
-        "--serve-seed",
-        type=int,
-        default=1992,
-        help="loadgen workload seed for the serve section (default 1992)",
-    )
-    return parser.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    sections = [s.strip() for s in args.sections.split(",") if s.strip()]
-    unknown = [s for s in sections if s not in SECTION_RUNNERS]
-    if unknown:
-        print(f"unknown sections: {unknown} (expected {ALL_SECTIONS})")
-        return 2
-
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     root = pathlib.Path(__file__).resolve().parents[1]
-    out_dir = root / "benchmarks" / "out"
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    failed = []
-    for section in sections:
-        try:
-            SECTION_RUNNERS[section](root, out_dir, args)
-        except Exception as exc:
-            failed.append(section)
-            print(f"section {section} FAILED: {exc}")
-            traceback.print_exc()
-    if failed:
-        print(f"failed sections: {', '.join(failed)}")
-        return 1
+    collect_tables(root, root / "benchmarks" / "out")
     return 0
 
 

@@ -1,25 +1,15 @@
 """Benchmark harness utilities (tables, scaling, measurement)."""
 
-from .report import bench_scale, format_table, output_dir, write_json, write_report
-from .runner import (
-    DedupComparison,
-    Measurement,
-    analyze_counts,
-    clamp_percent,
-    compare_dedup,
-    measure,
-)
+from .report import bench_scale, format_table, output_dir, write_report
+from .runner import Measurement, analyze_counts, clamp_percent, measure
 
 __all__ = [
-    "DedupComparison",
     "Measurement",
     "analyze_counts",
     "bench_scale",
     "clamp_percent",
-    "compare_dedup",
     "format_table",
     "measure",
     "output_dir",
-    "write_json",
     "write_report",
 ]

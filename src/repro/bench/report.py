@@ -7,7 +7,6 @@ in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -55,18 +54,6 @@ def write_report(filename: str, content: str) -> str:
     path = os.path.join(output_dir(), filename)
     with open(path, "w") as handle:
         handle.write(content)
-    return path
-
-
-def write_json(filename: str, payload: object) -> str:
-    """Write a JSON fragment into benchmarks/out/ and return its path.
-
-    Fragments are what ``benchmarks/collect_results.py`` merges into
-    the repo-root trajectory file (``BENCH_PR1.json``)."""
-    path = os.path.join(output_dir(), filename)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     return path
 
 

@@ -118,79 +118,3 @@ def analyze_counts(source: str, k: int = 3, max_facts: Optional[int] = 3_000_000
     analyzed = parse_and_analyze(source)
     icfg = build_icfg(analyzed)
     return analyze_program(analyzed, icfg, k=k, max_facts=max_facts)
-
-
-@dataclass(slots=True)
-class DedupComparison:
-    """Deduplicated engine vs the seed's worklist discipline on one
-    program: same may-alias sets, fewer pops."""
-
-    name: str
-    icfg_nodes: int
-    may_hold_facts: int
-    pops_dedup: int
-    pops_seed: int
-    pushes_dedup: int
-    pushes_seed: int
-    dedup_hits: int
-    stale_skips: int
-    seconds_dedup: float
-    seconds_seed: float
-    identical_may_alias: bool
-
-    @property
-    def pop_reduction(self) -> float:
-        """Fraction of seed pops eliminated by the dedup discipline."""
-        if self.pops_seed <= 0:
-            return 0.0
-        return 1.0 - self.pops_dedup / self.pops_seed
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "icfg_nodes": self.icfg_nodes,
-            "may_hold_facts": self.may_hold_facts,
-            "pops_dedup": self.pops_dedup,
-            "pops_seed": self.pops_seed,
-            "pushes_dedup": self.pushes_dedup,
-            "pushes_seed": self.pushes_seed,
-            "dedup_hits": self.dedup_hits,
-            "stale_skips": self.stale_skips,
-            "seconds_dedup": self.seconds_dedup,
-            "seconds_seed": self.seconds_seed,
-            "pop_reduction": self.pop_reduction,
-            "identical_may_alias": self.identical_may_alias,
-        }
-
-
-def compare_dedup(
-    name: str, source: str, k: int = 3, max_facts: Optional[int] = 3_000_000
-) -> DedupComparison:
-    """Run ``source`` under the deduplicated worklist and under the
-    seed discipline (``dedup=False``) and compare pops, pushes and the
-    resulting may-alias sets node by node."""
-    analyzed = parse_and_analyze(source)
-    icfg = build_icfg(analyzed)
-    start = time.perf_counter()
-    deduped = analyze_program(analyzed, icfg, k=k, max_facts=max_facts, dedup=True)
-    seconds_dedup = time.perf_counter() - start
-    start = time.perf_counter()
-    seed = analyze_program(analyzed, icfg, k=k, max_facts=max_facts, dedup=False)
-    seconds_seed = time.perf_counter() - start
-    identical = all(
-        deduped.may_alias(node) == seed.may_alias(node) for node in icfg.nodes
-    )
-    return DedupComparison(
-        name=name,
-        icfg_nodes=len(icfg),
-        may_hold_facts=len(deduped.store),
-        pops_dedup=deduped.engine.worklist_pops,
-        pops_seed=seed.engine.worklist_pops,
-        pushes_dedup=deduped.engine.worklist_pushes,
-        pushes_seed=seed.engine.worklist_pushes,
-        dedup_hits=deduped.engine.dedup_hits,
-        stale_skips=deduped.engine.stale_skips,
-        seconds_dedup=seconds_dedup,
-        seconds_seed=seconds_seed,
-        identical_may_alias=identical,
-    )

@@ -7,8 +7,8 @@ the solution:
   formatting, comments and re-parses of identical source hit, while any
   change to one IR statement misses;
 * the k-limit;
-* the engine configuration (fact budget, worklist discipline) — a
-  complete fixpoint is in fact independent of ``max_facts``, but keying
+* the engine configuration (fact budget, backend) — a complete
+  fixpoint is in fact independent of ``max_facts``, but keying
   on the configuration keeps the invariant trivially auditable and
   matches the stats the entry reproduces;
 * the solver code version (:data:`ENGINE_CODE_VERSION`), bumped
@@ -52,14 +52,14 @@ def canonical_ir_hash(analyzed: AnalyzedProgram) -> str:
 
 
 def engine_config_dict(
-    max_facts: Optional[int] = None, dedup: bool = True, engine: str = "kernel"
+    max_facts: Optional[int] = None, engine: str = "kernel"
 ) -> dict:
     """The engine-configuration fragment of the key.
 
     The kernel and reference backends produce identical solutions (the
     difftest lattice pins that), but keying on the backend keeps every
     entry reproducible by exactly the configuration that wrote it."""
-    return {"max_facts": max_facts, "dedup": bool(dedup), "engine": engine}
+    return {"max_facts": max_facts, "engine": engine}
 
 
 def entry_key(

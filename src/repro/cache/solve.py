@@ -76,7 +76,6 @@ def _solve(
     max_facts: Optional[int],
     deadline_seconds: Optional[float],
     on_budget: str,
-    dedup: bool,
     timer: Optional[PhaseTimer],
     engine: str,
     jobs: int,
@@ -107,7 +106,6 @@ def _solve(
         max_facts=max_facts,
         deadline_seconds=deadline_seconds,
         on_budget=on_budget,
-        dedup=dedup,
         timer=timer,
         engine=engine,
     )
@@ -120,7 +118,6 @@ def solve_with_cache(
     max_facts: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     on_budget: str = "partial",
-    dedup: bool = True,
     cache: Optional[SolutionCache] = None,
     timer: Optional[PhaseTimer] = None,
     engine: str = "kernel",
@@ -138,7 +135,6 @@ def solve_with_cache(
             max_facts,
             deadline_seconds,
             on_budget,
-            dedup,
             timer,
             engine,
             jobs,
@@ -148,7 +144,7 @@ def solve_with_cache(
 
     text = canonical_program_text(analyzed)
     ir_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    config = engine_config_dict(max_facts=max_facts, dedup=dedup, engine=engine)
+    config = engine_config_dict(max_facts=max_facts, engine=engine)
     key = entry_key(ir_hash, k, config)
 
     envelope = cache.get(key)
@@ -177,7 +173,6 @@ def solve_with_cache(
         max_facts,
         deadline_seconds,
         on_budget,
-        dedup,
         timer,
         engine,
         jobs,
@@ -243,7 +238,6 @@ def verify_cache(
                 icfg,
                 k=k,
                 max_facts=engine.get("max_facts"),
-                dedup=bool(engine.get("dedup", True)),
                 on_budget="partial",
                 engine=engine.get("engine", "kernel"),
             )

@@ -59,7 +59,6 @@ import sys
 from typing import Optional
 
 from .baselines.weihl import weihl_aliases
-from .core.analysis import analyze_program
 from .core.metrics import PHASE_ICFG, PHASE_PARSE, PhaseTimer
 from .frontend.diagnostics import MiniCError
 from .frontend.semantics import parse_and_analyze
@@ -175,10 +174,9 @@ def add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "worker processes for sweeps (and, for a single analyze "
-            "target, parallel seed-slice solving — or parallel "
-            "per-procedure drains with --engine summary); results "
-            "merge in deterministic unit order, so every N prints the "
-            "same report (default 1)"
+            "target, parallel per-procedure drains with --engine "
+            "summary); results merge in deterministic unit order, so "
+            "every N prints the same report (default 1)"
         ),
     )
     parser.add_argument(
@@ -870,11 +868,16 @@ def corpus_main(argv: list[str]) -> int:
         f"{agg['shard_failures']} shard failures, "
         f"{agg['files_partial']} partial), "
         f"LR {agg['lr_untruncated_total']} vs Weihl "
-        f"{agg['weihl_untruncated_total']} aliases "
+        f"{agg['weihl_untruncated_total']} aliases over complete files "
         f"({agg['ratio_weihl_over_lr']:.2f}x), "
         f"mean coverage {agg['mean_coverage_percent']}%, "
         f"{agg['wall_seconds']:.1f}s"
     )
+    if agg["partial_files"]:
+        print(
+            "partial, left out of the alias totals: "
+            + ", ".join(agg["partial_files"])
+        )
 
     document = json.dumps(report, indent=2, sort_keys=True)
     if outdir is not None:
@@ -1215,48 +1218,25 @@ def main(argv: Optional[list[str]] = None) -> int:
                 # Plain --dot stays pipeable into graphviz: graph only,
                 # no solve, no summary.
                 return 0
+        from .cache.solve import solve_with_cache
+
+        cache = None
         if args.cache_dir:
-            from .cache.solve import solve_with_cache
             from .cache.store import SolutionCache
 
-            solution, _status = solve_with_cache(
-                analyzed,
-                icfg,
-                k=args.k,
-                max_facts=args.max_facts,
-                deadline_seconds=args.deadline_seconds,
-                on_budget="partial",
-                cache=SolutionCache(args.cache_dir),
-                timer=timer,
-                engine=getattr(args, "engine", "kernel"),
-                jobs=args.jobs,
-            )
-        elif args.jobs > 1:
-            from .parallel import solve_sliced
-
-            solution = solve_sliced(
-                source,
-                analyzed,
-                icfg,
-                k=args.k,
-                jobs=args.jobs,
-                max_facts=args.max_facts,
-                deadline_seconds=args.deadline_seconds,
-                on_budget="partial",
-                timer=timer,
-                engine=getattr(args, "engine", "kernel"),
-            )
-        else:
-            solution = analyze_program(
-                analyzed,
-                icfg,
-                k=args.k,
-                max_facts=args.max_facts,
-                deadline_seconds=args.deadline_seconds,
-                on_budget="partial",
-                timer=timer,
-                engine=getattr(args, "engine", "kernel"),
-            )
+            cache = SolutionCache(args.cache_dir)
+        solution, _status = solve_with_cache(
+            analyzed,
+            icfg,
+            k=args.k,
+            max_facts=args.max_facts,
+            deadline_seconds=args.deadline_seconds,
+            on_budget="partial",
+            cache=cache,
+            timer=timer,
+            engine=args.engine,
+            jobs=args.jobs,
+        )
     except MiniCError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -69,7 +69,6 @@ def analyze_program(
     entry_proc: str = "main",
     deadline_seconds: Optional[float] = None,
     on_budget: str = "raise",
-    dedup: bool = True,
     timer: Optional[PhaseTimer] = None,
     engine: str = DEFAULT_ENGINE,
 ) -> MayAliasSolution:
@@ -86,11 +85,6 @@ def analyze_program(
         with timer.phase(PHASE_ICFG):
             icfg = IcfgBuilder(analyzed, entry_proc).build()
     if engine == "summary":
-        if not dedup:
-            raise ValueError(
-                "the summary engine requires the dedup worklist discipline; "
-                "use engine='reference' for the dedup=False A/B baseline"
-            )
         from ..summaries.solver import solve_summary
 
         return solve_summary(
@@ -102,11 +96,7 @@ def analyze_program(
             on_budget=on_budget,
             timer=timer,
         )
-    # The kernel implements only the dedup worklist discipline; the
-    # dedup=False A/B baseline always runs on the reference engine.
-    engine_cls = (
-        MayHoldAnalysis if engine == "reference" or not dedup else KernelAnalysis
-    )
+    engine_cls = MayHoldAnalysis if engine == "reference" else KernelAnalysis
     start = time.perf_counter()
     analysis = engine_cls(
         analyzed,
@@ -114,7 +104,6 @@ def analyze_program(
         k=k,
         max_facts=max_facts,
         deadline_seconds=deadline_seconds,
-        dedup=dedup,
         timer=timer,
     )
     store = analysis.run()
@@ -151,7 +140,6 @@ def analyze_source(
     entry_proc: str = "main",
     deadline_seconds: Optional[float] = None,
     on_budget: str = "raise",
-    dedup: bool = True,
     timer: Optional[PhaseTimer] = None,
     engine: str = DEFAULT_ENGINE,
 ) -> MayAliasSolution:
@@ -167,7 +155,6 @@ def analyze_source(
         entry_proc=entry_proc,
         deadline_seconds=deadline_seconds,
         on_budget=on_budget,
-        dedup=dedup,
         timer=timer,
         engine=engine,
     )

@@ -38,8 +38,7 @@ earlier redundant rescan, so fact *insertion order* (and the redundant-
 work counters) may differ between engines while sets, taint and
 answers cannot.
 
-The reference engine remains the executable specification: it runs for
-``dedup=False`` (the seed's A/B worklist-discipline baseline) and via
+The reference engine remains the executable specification: it runs via
 ``engine="reference"``; everything else defaults to the kernel (see
 :func:`repro.core.analysis.analyze_program`).
 """
@@ -273,13 +272,12 @@ class KernelStore:
     Implements the full :class:`~repro.core.store.MayHoldStore` query
     surface (decoding ids lazily), so :class:`MayAliasSolution` and
     every client analysis work unchanged on kernel runs.  ``make_true``
-    accepts object-level triples — the parallel slice closure uses it
-    to warm-start a kernel with slice facts.
+    accepts object-level triples — the summary engine uses it to inject
+    mirrored callee exit facts into a procedure's kernel.
     """
 
     def __init__(self, kernel: "KernelAnalysis") -> None:
         self._kernel = kernel
-        self.dedup = True
 
     @property
     def stats(self) -> StoreStats:
@@ -483,20 +481,12 @@ class KernelAnalysis:
         k: int = 3,
         max_facts: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
-        dedup: bool = True,
         timer: Optional[PhaseTimer] = None,
-        seed_nodes: Optional[frozenset[int]] = None,
         owned_nodes: Optional[frozenset[int]] = None,
     ) -> None:
-        if not dedup:
-            raise ValueError(
-                "the kernel engine requires the dedup worklist discipline; "
-                "use engine='reference' for the dedup=False A/B baseline"
-            )
         self.analyzed = analyzed
         self.icfg = icfg
         self.k = k
-        self.seed_nodes = seed_nodes
         # Restricted mode (the summary engine's per-procedure kernels):
         # transfer tables, successor edges and initialization cover only
         # the owned nodes.  Facts may still be recorded at foreign nodes
@@ -878,7 +868,7 @@ class KernelAnalysis:
             self._initialize()
         with self.timer.phase(PHASE_PROPAGATE):
             self._drain()
-            if not self.budget.exceeded and self.seed_nodes is None:
+            if not self.budget.exceeded:
                 self._retaint()
         if self.budget.exceeded:
             with self.timer.phase(PHASE_POST):
@@ -1009,12 +999,9 @@ class KernelAnalysis:
                     self._register(ct, entry_pid, aa_id, pid, rep)
 
     def _initialize(self) -> None:
-        seed_nodes = self.seed_nodes
         owned = self.owned_nodes
         for node in self.icfg.nodes:
             if owned is not None and node.nid not in owned:
-                continue
-            if seed_nodes is not None and node.nid not in seed_nodes:
                 continue
             if node.is_pointer_assignment:
                 table = self._assign_tables[node.nid]
@@ -1056,13 +1043,10 @@ class KernelAnalysis:
         from bind seeds — which are CLEAN by rule regardless of the
         call fact's taint — so re-certifying everything recorded at a
         called entry restores exactly the seed set."""
-        seed_nodes = self.seed_nodes
         owned = self.owned_nodes
         seen_entries: set[int] = set()
         for node in self.icfg.nodes:
             if owned is not None and node.nid not in owned:
-                continue
-            if seed_nodes is not None and node.nid not in seed_nodes:
                 continue
             if node.is_pointer_assignment:
                 table = self._assign_tables[node.nid]

@@ -42,8 +42,8 @@ class StoreStats:
     while still pending is *merged* into its queued entry and counted
     under ``dedup_hits`` instead (the seed overcounted pushes here and
     re-processed the fact).  ``stale_skips`` counts popped entries whose
-    store state had already been processed — with dedup on this is a
-    defensive net and stays 0."""
+    store state had already been processed — a defensive net that
+    stays 0."""
 
     facts: int = 0
     worklist_pushes: int = 0
@@ -54,13 +54,9 @@ class StoreStats:
 
 
 class MayHoldStore:
-    """Hash-backed may-hold relation with the analysis worklist.
+    """Hash-backed may-hold relation with the analysis worklist."""
 
-    ``dedup=False`` restores the seed's worklist discipline (every add
-    *and* upgrade appends unconditionally, stale pops are re-processed)
-    — kept as an A/B baseline for the benchmark harness."""
-
-    def __init__(self, dedup: bool = True) -> None:
+    def __init__(self) -> None:
         # (nid, AA, PA) -> CLEAN/TAINTED.  Absence means false.
         self._facts: dict[Fact, bool] = {}
         # Index values are insertion-ordered keys-only dicts rather than
@@ -76,8 +72,7 @@ class MayHoldStore:
         self._by_node_base: dict[tuple[int, str], dict[tuple[Assumption, AliasPair], None]] = {}
         self._by_node_assumed: dict[tuple[int, AliasPair], dict[tuple[Assumption, AliasPair], None]] = {}
         self._worklist: deque[Fact] = deque()
-        self.dedup = dedup
-        # Facts currently sitting in the queue (dedup mode only).
+        # Facts currently sitting in the queue.
         self._pending: set[Fact] = set()
         # Taint state a fact last left the queue with; lets pop() skip
         # entries whose store state hasn't changed since enqueue.
@@ -166,27 +161,23 @@ class MayHoldStore:
 
     def _enqueue(self, key: Fact) -> None:
         """Queue a changed fact, merging with a still-pending entry."""
-        if self.dedup:
-            if key in self._pending:
-                # Already queued: the eventual pop reads the (upgraded)
-                # store state, so processing once covers both changes.
-                self.stats.dedup_hits += 1
-                return
-            self._pending.add(key)
+        if key in self._pending:
+            # Already queued: the eventual pop reads the (upgraded)
+            # store state, so processing once covers both changes.
+            self.stats.dedup_hits += 1
+            return
+        self._pending.add(key)
         self._worklist.append(key)
         self.stats.worklist_pushes += 1
 
     def pop(self) -> Optional[Fact]:
         """Next worklist item, or None when drained.
 
-        In dedup mode, entries whose store state was already processed
-        (taint unchanged since the last pop of the same fact) are
-        skipped rather than returned."""
+        Entries whose store state was already processed (taint
+        unchanged since the last pop of the same fact) are skipped
+        rather than returned."""
         while self._worklist:
             key = self._worklist.popleft()
-            if not self.dedup:
-                self.stats.worklist_pops += 1
-                return key
             self._pending.discard(key)
             state = self._facts[key]
             if self._popped_taint.get(key) is state:

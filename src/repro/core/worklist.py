@@ -85,22 +85,13 @@ class MayHoldAnalysis:
         k: int = 3,
         max_facts: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
-        dedup: bool = True,
         timer: Optional[PhaseTimer] = None,
-        seed_nodes: Optional[frozenset[int]] = None,
     ) -> None:
         self.analyzed = analyzed
         self.icfg = icfg
         self.k = k
-        #: When set, initialization only introduces facts at these
-        #: nodes — the per-slice mode of :mod:`repro.parallel.slices`.
-        #: Every slice's fixpoint is a sound subset of the full one
-        #: (its derivations are ordinary full-program derivations); the
-        #: closure pass re-runs with ``seed_nodes=None`` over the
-        #: merged warm store to finish cross-slice joins.
-        self.seed_nodes = seed_nodes
         self.ctx = NameContext(analyzed.symbols, k)
-        self.store = MayHoldStore(dedup=dedup)
+        self.store = MayHoldStore()
         self.transfer = AssignTransfer(self.store, self.ctx)
         self.max_facts = max_facts
         self.deadline_seconds = deadline_seconds
@@ -132,8 +123,6 @@ class MayHoldAnalysis:
 
     def _initialize(self) -> None:
         for node in self.icfg.nodes:
-            if self.seed_nodes is not None and node.nid not in self.seed_nodes:
-                continue
             if node.is_pointer_assignment:
                 assert isinstance(node.stmt, PtrAssign)
                 self.transfer.intro(node.nid, node.stmt)
@@ -182,7 +171,7 @@ class MayHoldAnalysis:
             self._initialize()
         with self.timer.phase(PHASE_PROPAGATE):
             self._drain()
-            if not self.budget.exceeded and self.seed_nodes is None:
+            if not self.budget.exceeded:
                 self._retaint()
         if self.budget.exceeded:
             with self.timer.phase(PHASE_POST):
@@ -211,8 +200,6 @@ class MayHoldAnalysis:
         seed set."""
         seen_entries: set[int] = set()
         for node in self.icfg.nodes:
-            if self.seed_nodes is not None and node.nid not in self.seed_nodes:
-                continue
             if node.is_pointer_assignment:
                 assert isinstance(node.stmt, PtrAssign)
                 self.transfer.intro(node.nid, node.stmt)

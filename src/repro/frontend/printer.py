@@ -74,7 +74,14 @@ def _expr(expr: ast.Expr) -> tuple[str, int]:
         return repr(expr.value), 100
     if isinstance(expr, ast.CharLit):
         ch = expr.value
-        escaped = {"\n": "\\n", "\t": "\\t", "\0": "\\0", "'": "\\'"}.get(ch, ch)
+        escaped = {
+            "\n": "\\n",
+            "\t": "\\t",
+            "\r": "\\r",
+            "\0": "\\0",
+            "'": "\\'",
+            "\\": "\\\\",
+        }.get(ch, ch)
         return f"'{escaped}'", 100
     if isinstance(expr, ast.StringLit):
         # The lexer stores string bodies verbatim (escape sequences

@@ -35,6 +35,7 @@ from typing import Optional
 from . import ast_nodes as ast
 from .diagnostics import DUMMY_SPAN, MiniCError, Span, UnsupportedFeatureError
 from .havoc import shuffle
+from .parser import _unescape_char
 from .types import ArrayType, PointerType, StructType, Type, TypeTable, scalar
 
 
@@ -322,7 +323,7 @@ class PycparserConverter:
             if node.type in ("float", "double"):
                 return ast.FloatLit(float(node.value.rstrip("fFlL")), span=span)
             if node.type == "char":
-                return ast.CharLit(node.value.strip("'"), span=span)
+                return ast.CharLit(_unescape_char(node.value), span=span)
             if node.type == "string":
                 return ast.StringLit(node.value.strip('"'), span=span)
             return ast.IntLit(0, span=span)

@@ -84,20 +84,6 @@ def pair_from_json(data: list) -> AliasPair:
     return AliasPair(name_from_json(data[0]), name_from_json(data[1]))
 
 
-def fact_to_json(fact: tuple, clean: bool) -> list:
-    """One may-hold triple → ``[nid, [assume...], pair, clean]`` (the
-    compact encoding the parallel slice workers ship over IPC)."""
-    nid, assumption, pair = fact
-    return [nid, [pair_to_json(a) for a in assumption], pair_to_json(pair), bool(clean)]
-
-
-def fact_from_json(data: list) -> tuple:
-    """Inverse of :func:`fact_to_json` → ``((nid, AA, PA), clean)``."""
-    nid, assume, pair, clean = data
-    assumption = tuple(pair_from_json(a) for a in assume)
-    return (nid, assumption, pair_from_json(pair)), bool(clean)
-
-
 # Backwards-compatible private aliases (pre-PR5 spelling).
 _name_to_json = name_to_json
 _name_from_json = name_from_json

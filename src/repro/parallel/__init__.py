@@ -2,9 +2,8 @@
 
 The Landi/Ryder may-hold iteration is single-threaded per program, but
 almost everything the repo runs *around* it is embarrassingly parallel:
-corpus sweeps, difftest sweeps, lint sweeps over many programs, and the
-per-seed slices of a single large program's initialization.  This
-package fans those units out across worker processes:
+corpus sweeps, difftest sweeps and lint sweeps over many programs.
+This package fans those units out across worker processes:
 
 * :mod:`repro.parallel.driver` — the generic sharded driver:
   deterministic merge order (results come back in unit order no matter
@@ -12,19 +11,15 @@ package fans those units out across worker processes:
   is restarted a bounded number of times, then the affected units are
   *degraded*, mirroring the PR-1 budget path — never a hang), and an
   optional global deadline.
-* :mod:`repro.parallel.slices` — intra-program parallelism: the seed
-  facts of one program's worklist are partitioned across processes,
-  each slice is solved to its own fixpoint, and a sequential closure
-  pass merges the warm stores and drains any cross-slice
-  interprocedural joins.  The result provably equals the serial
-  fixpoint (see docs/PARALLEL.md).
 * :mod:`repro.parallel.units` — picklable worker functions for the
   CLI-level sweeps (per-file analyze).
 
-Wall-clock numbers are hardware-bound: on a single-core container the
-pool adds overhead instead of speedup; the content-addressed result
-cache (:mod:`repro.cache`) is what makes repeated sweeps cheap
-everywhere.
+Parallelism *within* one program belongs to the summary engine
+(:mod:`repro.summaries`), whose per-procedure drains run in their own
+pool.  Wall-clock numbers are hardware-bound: on a single-core
+container the pool adds overhead instead of speedup; the
+content-addressed result cache (:mod:`repro.cache`) is what makes
+repeated sweeps cheap everywhere.
 """
 
 from .driver import (
@@ -35,7 +30,6 @@ from .driver import (
     ShardOutcome,
     run_sharded,
 )
-from .slices import solve_sliced
 
 __all__ = [
     "STATUS_CRASHED",
@@ -44,5 +38,4 @@ __all__ = [
     "STATUS_TIMEOUT",
     "ShardOutcome",
     "run_sharded",
-    "solve_sliced",
 ]

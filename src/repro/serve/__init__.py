@@ -19,8 +19,9 @@ PR 7), and serves two wire surfaces over one session:
   per-request wall-time percentiles).
 
 :mod:`repro.serve.loadgen` is the deterministic seeded load generator
-the CI ``serve`` job and ``collect_results.py --sections serve`` boot
-the daemon under.  See docs/SERVE.md.
+the CI ``serve`` job boots the daemon under; the repository benchmark
+(``perfbench/serve_load.py``) reuses its programs, client and traffic
+mix.  See docs/SERVE.md.
 """
 
 from .metrics import SERVE_STATS_SCHEMA, ServeMetrics

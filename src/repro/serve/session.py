@@ -242,7 +242,6 @@ class ServeSession:
             deadline_seconds=self.deadline_seconds,
             jobs=self.jobs,
             cache=self.cache,
-            source=text,
         )
         store = analysis.run()
         solution = MayAliasSolution(

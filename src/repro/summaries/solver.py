@@ -212,7 +212,6 @@ class ProcSolver:
             self.icfg,
             k=self.k,
             max_facts=self.max_facts,
-            dedup=True,
             owned_nodes=self.owned,
         )
 
@@ -465,18 +464,11 @@ class SummaryAnalysis:
         k: int = 3,
         max_facts: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
-        dedup: bool = True,
         timer: Optional[PhaseTimer] = None,
         jobs: int = 1,
         cache=None,
-        source: Optional[str] = None,
         oversubscribe: bool = False,
     ) -> None:
-        if not dedup:
-            raise ValueError(
-                "the summary engine requires the dedup worklist discipline; "
-                "use engine='reference' for the dedup=False A/B baseline"
-            )
         self.analyzed = analyzed
         self.icfg = icfg
         self.k = k
@@ -485,7 +477,7 @@ class SummaryAnalysis:
         self.timer = timer if timer is not None else PhaseTimer()
         self.jobs = jobs
         self.cache = cache
-        self.source = source
+        self.source: Optional[str] = None
         self.oversubscribe = oversubscribe
         self.ctx = NameContext(analyzed.symbols, k)
         self.budget = BudgetOutcome(
@@ -937,7 +929,6 @@ class SummaryAnalysis:
             self.analyzed,
             self.icfg,
             k=self.k,
-            dedup=True,
             owned_nodes=frozenset(),
         )
         totals = StoreStats()
@@ -974,7 +965,6 @@ def solve_summary(
     on_budget: str = "partial",
     timer: Optional[PhaseTimer] = None,
     cache=None,
-    source: Optional[str] = None,
     oversubscribe: bool = False,
 ):
     """Solve one program with the summary engine and wrap the result in
@@ -995,7 +985,6 @@ def solve_summary(
         timer=timer,
         jobs=jobs,
         cache=cache,
-        source=source,
         oversubscribe=oversubscribe,
     )
     store = analysis.run()

@@ -68,6 +68,14 @@ class TestCorpusRun:
         assert "parse_error" in stdout
         assert "1/2 files ok" in stdout
 
+    def test_partial_file_printed_apart_from_the_totals(self, corpus_dir, capsys):
+        good = corpus_dir / "good.c"
+        assert main(["corpus", "run", str(good), "--max-facts", "10"]) == 0
+        stdout = capsys.readouterr().out
+        assert "1 partial" in stdout
+        assert "LR 0 vs Weihl 0 aliases over complete files" in stdout
+        assert f"partial, left out of the alias totals: {good}" in stdout
+
     def test_cold_then_warm_cache(self, corpus_dir, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         stats = tmp_path / "warm.json"

@@ -70,7 +70,12 @@ def test_generated_program_soundness(seed, k):
     )
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(seed=st.integers(min_value=1, max_value=10_000))
 def test_generated_program_analyzable(seed):
     """Generated programs always parse, check, lower and analyze —
@@ -80,3 +85,18 @@ def test_generated_program_analyzable(seed):
     spec = ProgramSpec(name=f"gen{seed}", seed=seed, **FUZZ_SPEC)
     solution = analyze_source(generate_program(spec), k=2, max_facts=600_000)
     assert solution.stats().icfg_nodes > 0
+
+
+# Generator draws that blow past the fact budget at k=2 despite the
+# knobs.  They must end in a bounded, labelled partial verdict rather
+# than a hang or an unbounded store.
+@pytest.mark.parametrize("seed", [725])
+def test_generated_blowup_ends_budget_partial(seed):
+    from repro import analyze_source
+
+    spec = ProgramSpec(name=f"gen{seed}", seed=seed, **FUZZ_SPEC)
+    solution = analyze_source(
+        generate_program(spec), k=2, max_facts=600_000, on_budget="partial"
+    )
+    assert not solution.complete
+    assert solution.budget.reason == "max_facts"

@@ -1,8 +1,8 @@
-"""Unit tests for the measurement helpers (ratio clamping, dedup A/B)."""
+"""Unit tests for the measurement helpers (ratio clamping, zero-alias programs)."""
 
 import math
 
-from repro.bench.runner import DedupComparison, Measurement, clamp_percent, compare_dedup, measure
+from repro.bench.runner import Measurement, clamp_percent, measure
 
 
 def _measurement(lr=0, weihl=None):
@@ -58,53 +58,3 @@ class TestZeroAliasProgram:
         assert result.lr_program_aliases == 0
         assert result.percent_yes == 100.0  # vacuously precise
         assert result.weihl_ratio == 1.0
-
-    def test_compare_dedup_on_empty_program(self):
-        comparison = compare_dedup("empty", self.SOURCE, k=3)
-        assert comparison.identical_may_alias
-        assert comparison.pops_dedup <= comparison.pops_seed
-        assert comparison.pop_reduction == 0.0 or comparison.pops_seed > 0
-
-
-class TestDedupComparison:
-    def test_pop_reduction(self):
-        comparison = DedupComparison(
-            name="t",
-            icfg_nodes=1,
-            may_hold_facts=1,
-            pops_dedup=90,
-            pops_seed=100,
-            pushes_dedup=90,
-            pushes_seed=100,
-            dedup_hits=10,
-            stale_skips=0,
-            seconds_dedup=0.0,
-            seconds_seed=0.0,
-            identical_may_alias=True,
-        )
-        assert math.isclose(comparison.pop_reduction, 0.1)
-        assert math.isclose(comparison.as_dict()["pop_reduction"], 0.1)
-
-    def test_pop_reduction_guards_zero_division(self):
-        comparison = DedupComparison(
-            name="t",
-            icfg_nodes=0,
-            may_hold_facts=0,
-            pops_dedup=0,
-            pops_seed=0,
-            pushes_dedup=0,
-            pushes_seed=0,
-            dedup_hits=0,
-            stale_skips=0,
-            seconds_dedup=0.0,
-            seconds_seed=0.0,
-            identical_may_alias=True,
-        )
-        assert comparison.pop_reduction == 0.0
-
-    def test_dedup_identical_on_figure1(self):
-        from repro.programs.fixtures import FIGURE1
-
-        comparison = compare_dedup("figure1", FIGURE1, k=3)
-        assert comparison.identical_may_alias
-        assert comparison.pops_dedup <= comparison.pops_seed

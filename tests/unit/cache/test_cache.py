@@ -82,7 +82,7 @@ class TestKeys:
 
     def test_engine_config_changes_the_key(self):
         assert _key_for(SOURCE) != _key_for(SOURCE, max_facts=100)
-        assert _key_for(SOURCE) != _key_for(SOURCE, dedup=False)
+        assert _key_for(SOURCE) != _key_for(SOURCE, engine="reference")
 
     def test_code_version_changes_the_key(self):
         analyzed = parse_and_analyze(SOURCE)

@@ -47,20 +47,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="engine must be one of"):
             analyze_program(analyzed, icfg, engine="turbo")
 
-    def test_kernel_requires_dedup(self):
-        analyzed = parse_and_analyze(FIGURE1)
-        icfg = build_icfg(analyzed)
-        with pytest.raises(ValueError, match="dedup"):
-            KernelAnalysis(analyzed, icfg, dedup=False)
-
-    def test_dedup_false_falls_back_to_reference(self):
-        # The A/B worklist-discipline baseline always runs on the
-        # reference engine, whatever engine was selected.
-        analyzed = parse_and_analyze(FIGURE1)
-        icfg = build_icfg(analyzed)
-        solution = analyze_program(analyzed, icfg, dedup=False)
-        assert isinstance(solution.store, MayHoldStore)
-
     def test_engine_flag_selects_reference(self):
         analyzed = parse_and_analyze(FIGURE1)
         icfg = build_icfg(analyzed)

@@ -65,19 +65,6 @@ class TestDedupDiscipline:
         assert store.pop() is None
         assert store.stats.worklist_pops == 1
 
-    def test_seed_discipline_processes_each_state(self):
-        # dedup=False restores the seed's behaviour: the add and the
-        # upgrade each get their own queue entry and their own pop.
-        store = MayHoldStore(dedup=False)
-        store.make_true(0, assumptions.EMPTY, pair(), TAINTED)
-        store.make_true(0, assumptions.EMPTY, pair(), CLEAN)
-        assert store.stats.worklist_pushes == 2
-        assert store.stats.dedup_hits == 0
-        assert store.pop() is not None
-        assert store.pop() is not None
-        assert store.pop() is None
-        assert store.stats.worklist_pops == 2
-
     def test_upgrade_after_pop_reenqueues(self):
         # An upgrade after the fact left the queue must re-enter it —
         # downstream facts still need the CLEAN propagation.

@@ -28,6 +28,8 @@ int main() { struct cell local; return clone(&local) != 0; }
 
 BROKEN = "int main( { this is not C\n"
 
+TINY = "int main() { int x; int *p; p = &x; return p != 0; }\n"
+
 
 @pytest.fixture()
 def corpus_dir(tmp_path):
@@ -109,3 +111,19 @@ class TestRunCorpus:
         assert entry["status"] == "ok"
         assert not entry["solution"]["complete"]
         assert report["aggregate"]["files_partial"] == 1
+
+    def test_partial_file_left_out_of_the_totals(self, tmp_path):
+        # A budget-partial LR count is a lower bound: the alias totals
+        # and their ratio cover the complete files only.
+        (tmp_path / "good.c").write_text(GOOD)
+        (tmp_path / "tiny.c").write_text(TINY)
+        report = run_corpus([tmp_path], k=1, jobs=1, max_facts=10)
+        good, tiny = report["files"]
+        assert not good["solution"]["complete"]
+        assert tiny["solution"]["complete"]
+        agg = report["aggregate"]
+        assert agg["files_partial"] == 1
+        assert agg["partial_files"] == [good["path"]]
+        assert agg["lr_untruncated_total"] == tiny["precision"]["lr_untruncated"]
+        assert agg["weihl_untruncated_total"] == tiny["precision"]["weihl_untruncated"]
+        assert agg["ratio_weihl_over_lr"] == tiny["precision"]["ratio_weihl_over_lr"]

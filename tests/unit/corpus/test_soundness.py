@@ -6,12 +6,16 @@ are computable.  ``lowered_dynamic_check``: leniently lowered programs
 must stay sound against the dynamic oracle where interpretable.
 """
 
+from pathlib import Path
+
 import pytest
 
 pycparser = pytest.importorskip("pycparser")
 
 from repro.corpus import stub_superset_check
 from repro.corpus.soundness import _owner, lowered_dynamic_check
+
+CORPUS = Path(__file__).resolve().parents[3] / "corpus"
 
 FIXTURE = """
 struct box { int *slot; };
@@ -90,3 +94,12 @@ class TestLoweredDynamic:
         assert result["interpretable"]
         assert result["observed_pairs"] > 0
         assert result["ledger"]["event_counts"].get("cast-erased") == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_strbuf_sound_against_oracle(self, k):
+        # strbuf.c stores '\0'; the lowered literal must be the one
+        # character the interpreter can evaluate.
+        source = (CORPUS / "strbuf.c").read_text()
+        result = lowered_dynamic_check(source, "strbuf.c", k=k)
+        assert result["ok"], result["violations"]
+        assert result["interpretable"]

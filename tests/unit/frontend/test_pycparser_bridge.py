@@ -99,6 +99,21 @@ class TestConversion:
         bridged_pairs = {str(p) for p in bridged.program_aliases()}
         assert native_pairs == bridged_pairs
 
+    def test_char_escapes_match_native_frontend(self):
+        from repro import parse_and_analyze
+        from repro.frontend.printer import print_program
+
+        source = r"""
+        int main() {
+            char a, b, c, d;
+            a = '\0'; b = '\\'; c = '\''; d = 'x';
+            return 0;
+        }
+        """
+        native = print_program(parse_and_analyze(source).ast)
+        assert print_program(parse_c(source)) == native
+        assert print_program(parse_and_analyze(native).ast) == native
+
 
 class TestRejections:
     def test_union_rejected(self):
