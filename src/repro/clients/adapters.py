@@ -17,7 +17,7 @@ from ..baselines.weihl import WeihlResult
 from ..frontend.semantics import AnalyzedProgram
 from ..icfg.graph import ICFG
 from ..icfg.ir import Node
-from ..names.alias_pairs import AliasPair
+from ..names.alias_pairs import AliasPair, pair_represented
 from ..names.context import NameContext
 from ..names.object_names import ObjectName
 
@@ -47,25 +47,15 @@ class WeihlBackedSolution:
         """The whole program relation (same at every node)."""
         return set(self._aliases)
 
-    def may_alias_names(self, node: Node | int, name: ObjectName) -> set[ObjectName]:
-        """Names aliased to ``name`` program-wide."""
+    def exact_partners(self, node: Node | int, name: ObjectName) -> set[ObjectName]:
+        """Names paired with exactly ``name`` program-wide."""
         return set(self._by_name.get(name, ()))
+
+    may_alias_names = exact_partners
 
     def alias_query(self, node: Node | int, a: ObjectName, b: ObjectName) -> bool:
         """Program-wide alias query with truncated-representative coverage."""
-        if AliasPair(a, b) in self._aliases:
-            return True
-        for stored in self._by_name.get(a, ()):
-            if stored == b:
-                return True
-        # Truncated representatives stand for their extensions.
-        for pair in self._aliases:
-            for x, y in ((pair.first, pair.second), (pair.second, pair.first)):
-                x_ok = x == a or (x.truncated and x.is_prefix(a))
-                y_ok = y == b or (y.truncated and y.is_prefix(b))
-                if x_ok and y_ok:
-                    return True
-        return False
+        return pair_represented(lambda name: self._by_name.get(name, ()), a, b)
 
 
 class AndersenBackedSolution:
@@ -91,9 +81,12 @@ class AndersenBackedSolution:
         self.k = k
         self._aliases = andersen.aliases
         self._by_base: dict[str, set[str]] = {}
+        self._by_name: dict[ObjectName, set[ObjectName]] = {}
         for pair in andersen.aliases:
             self._by_base.setdefault(pair.first.base, set()).add(pair.second.base)
             self._by_base.setdefault(pair.second.base, set()).add(pair.first.base)
+            self._by_name.setdefault(pair.first, set()).add(pair.second)
+            self._by_name.setdefault(pair.second, set()).add(pair.first)
 
     def _bases_alias(self, a: ObjectName, b: ObjectName) -> bool:
         """Do the two names dereference variables with intersecting
@@ -121,6 +114,11 @@ class AndersenBackedSolution:
         return {
             ObjectName(base).deref() for base in self._by_base.get(name.base, ())
         }
+
+    def exact_partners(self, node: Node | int, name: ObjectName) -> set[ObjectName]:
+        """Names paired with exactly ``name`` in the relation's pairs
+        (finer than :meth:`may_alias_names`)."""
+        return set(self._by_name.get(name, ()))
 
     def alias_query(self, node: Node | int, a: ObjectName, b: ObjectName) -> bool:
         """Coarse query: may the storage below ``a``'s and ``b``'s base

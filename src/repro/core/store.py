@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ..names.alias_pairs import AliasPair
 from ..names.object_names import ObjectName
@@ -51,6 +51,14 @@ class StoreStats:
     dedup_hits: int = 0
     stale_skips: int = 0
     upgrades: int = 0
+
+
+class PairCounts(NamedTuple):
+    """The solution aggregates, read off a store in one pass."""
+
+    node_pairs: int  # distinct (node, PA)
+    clean_node_pairs: int  # distinct (node, PA) with a CLEAN fact
+    pairs: set[AliasPair]  # distinct PA over every node
 
 
 class MayHoldStore:
@@ -126,6 +134,28 @@ class MayHoldStore:
     def pairs_at(self, nid: int) -> set[AliasPair]:
         """may_alias(nid): pairs true at the node under any assumption."""
         return {pair for _, pair in self._by_node.get(nid, ())}
+
+    def partners(self, nid: int, name: ObjectName) -> set[ObjectName]:
+        """Exact partners: the other member of every pair at ``nid``
+        that has ``name`` itself as a member (no representative
+        widening)."""
+        return {
+            pair.other(name)
+            for _, pair in self._by_node_name.get((nid, name), ())
+        }
+
+    def pair_counts(self) -> PairCounts:
+        """Distinct (node, PA) count, how many of those hold CLEAN, and
+        the distinct pairs."""
+        node_pairs: set[tuple[int, AliasPair]] = set()
+        clean: set[tuple[int, AliasPair]] = set()
+        for (nid, _, pair), taint in self._facts.items():
+            node_pairs.add((nid, pair))
+            if taint is CLEAN:
+                clean.add((nid, pair))
+        return PairCounts(
+            len(node_pairs), len(clean), {pair for _, pair in node_pairs}
+        )
 
     # -- updates ---------------------------------------------------------------
 

@@ -132,7 +132,7 @@ def corpus_file_unit(payload: dict) -> dict:
         "solution": {
             "complete": solution.complete,
             "icfg_nodes": len(icfg.nodes),
-            "may_hold_facts": solution.stats().may_hold_facts,
+            "may_hold_facts": len(solution.store),
             "percent_yes": round(solution.percent_yes(), 2),
         },
         "precision": {

@@ -45,7 +45,7 @@ from .core.solution import MayAliasSolution
 from .core.store import MayHoldStore
 from .frontend.semantics import AnalyzedProgram
 from .icfg.graph import ICFG
-from .names.alias_pairs import AliasPair
+from .names.alias_pairs import AliasPair, pair_represented
 from .names.context import NameContext
 from .names.object_names import ObjectName
 
@@ -290,11 +290,16 @@ class LoadedSolution:
         self.k: int = document["k"]
         self.nodes: dict[int, dict] = {n["id"]: n for n in document["nodes"]}
         self._pairs_at: dict[int, set[AliasPair]] = {}
+        # Per node: name -> the names stored in a pair with it.
+        self._partners: dict[int, dict[ObjectName, set[ObjectName]]] = {}
         self._clean: dict[tuple[int, AliasPair], bool] = {}
         for fact in facts_json_from_document(document):
             nid = fact["node"]
             pair = _pair_from_json(fact["pair"])
             self._pairs_at.setdefault(nid, set()).add(pair)
+            partners = self._partners.setdefault(nid, {})
+            partners.setdefault(pair.first, set()).add(pair.second)
+            partners.setdefault(pair.second, set()).add(pair.first)
             key = (nid, pair)
             self._clean[key] = self._clean.get(key, False) or fact["clean"]
 
@@ -306,17 +311,8 @@ class LoadedSolution:
     def alias_query(self, node: Union[int, object], a: ObjectName, b: ObjectName) -> bool:
         """May ``a`` and ``b`` alias at ``node``?  Honors truncated representatives."""
         nid = node if isinstance(node, int) else node.nid
-        target = AliasPair(a, b)
-        pairs = self._pairs_at.get(nid, ())
-        if target in pairs:
-            return True
-        for stored in pairs:
-            for x, y in ((stored.first, stored.second), (stored.second, stored.first)):
-                x_ok = x == a or (x.truncated and x.is_prefix(a))
-                y_ok = y == b or (y.truncated and y.is_prefix(b))
-                if x_ok and y_ok:
-                    return True
-        return False
+        partners = self._partners.get(nid, {})
+        return pair_represented(lambda name: partners.get(name, ()), a, b)
 
     def percent_yes(self) -> float:
         """%YES over the loaded (node, pair) facts."""

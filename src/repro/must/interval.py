@@ -53,6 +53,9 @@ class IntervalSolution:
     def may_alias_names(self, node, name):
         return self.may.may_alias_names(node, name)
 
+    def exact_partners(self, node, name):
+        return self.may.exact_partners(node, name)
+
     def alias_query(self, node, a, b) -> bool:
         return self.may.alias_query(node, a, b)
 

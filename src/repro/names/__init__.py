@@ -1,6 +1,6 @@
 """Object names, k-limiting, alias pairs, visibility (paper §3)."""
 
-from .alias_pairs import AliasPair, make_pair
+from .alias_pairs import AliasPair, make_pair, pair_represented
 from .context import NameContext, collapse_arrays
 from .object_names import (
     DEREF,
@@ -11,6 +11,7 @@ from .object_names import (
     k_limit,
     nonvisible,
     renumber_nonvisible,
+    representatives,
 )
 
 __all__ = [
@@ -25,5 +26,7 @@ __all__ = [
     "k_limit",
     "make_pair",
     "nonvisible",
+    "pair_represented",
     "renumber_nonvisible",
+    "representatives",
 ]

@@ -7,9 +7,9 @@ construction; ``AliasPair(a, b) == AliasPair(b, a)``.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Collection, Iterator, Optional
 
-from .object_names import ObjectName, is_nonvisible_based, k_limit
+from .object_names import ObjectName, is_nonvisible_based, k_limit, representatives
 
 
 def _key(name: ObjectName) -> tuple:
@@ -134,6 +134,21 @@ class AliasPair:
 def make_pair(a: ObjectName, b: ObjectName, k: int) -> AliasPair:
     """Build a k-limited alias pair."""
     return AliasPair(k_limit(a, k), k_limit(b, k))
+
+
+def pair_represented(
+    partners: Callable[[ObjectName], Collection[ObjectName]],
+    a: ObjectName,
+    b: ObjectName,
+) -> bool:
+    """Does some stored pair represent ``(a, b)`` (paper §3)?
+
+    ``partners(x)`` gives the names stored in a pair with exactly
+    ``x``.  A stored pair represents ``(a, b)`` when one member is a
+    representative of ``a`` and the other one of ``b``, so probing the
+    representatives of ``a`` covers both orientations."""
+    wanted = set(representatives(b))
+    return any(not wanted.isdisjoint(partners(x)) for x in representatives(a))
 
 
 def interned_pair_count() -> int:

@@ -3,8 +3,17 @@
 import pytest
 
 from repro import analyze_source
-from repro.core.solution import _represents
+from repro.core.solution import MayAliasSolution
+from repro.core.store import CLEAN, MayHoldStore
 from repro.names import AliasPair, ObjectName
+
+
+def _represents(stored: AliasPair, query: AliasPair) -> bool:
+    """Does a solution holding only ``stored`` answer ``query``?"""
+    store = MayHoldStore()
+    store.make_true(0, (), stored, CLEAN)
+    solution = MayAliasSolution(None, store, None, k=1)
+    return solution.alias_query(0, query.first, query.second)
 
 
 class TestRepresents:
