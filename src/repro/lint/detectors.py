@@ -449,7 +449,10 @@ def find_dangling_escapes(solution: MayAliasSolution) -> Iterator[Finding]:
     for proc, graph in icfg.procs.items():
         if proc == icfg.entry_proc:
             continue
-        for pair in solution.may_alias(graph.exit):
+        # Canonical order: dedup keeps the first witness of a finding,
+        # and a set of pairs iterates in string-hash (PYTHONHASHSEED)
+        # order.
+        for pair in sorted(solution.may_alias(graph.exit), key=str):
             for dying, holder in (
                 (pair.first, pair.second),
                 (pair.second, pair.first),

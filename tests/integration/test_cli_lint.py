@@ -2,7 +2,10 @@
 tier-1 ``--self-check`` smoke required by the lint tooling config."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.lint import validate_sarif
 pytestmark = pytest.mark.lint
 
 EXAMPLE = str(pathlib.Path(__file__).resolve().parents[2] / "examples" / "figure1.c")
+SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 BUGGY = (
     "int *mk() { int local; int *p; p = &local; return p; }"
@@ -107,3 +111,31 @@ class TestLintCli:
         bad.write_text("int main( {")
         assert main(["lint", str(bad)]) == 1
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_sarif_independent_of_hash_seed(self, tmp_path):
+        """Witnesses are picked in a canonical order, not in the string
+        hash order of a set of pairs."""
+        from repro.programs import ProgramSpec, generate_program
+
+        program = tmp_path / "scale240.c"
+        program.write_text(
+            generate_program(ProgramSpec.for_target_nodes("scaling", 240))
+        )
+        documents = []
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "lint", str(program),
+                 "--provider", "weihl", "--format", "sarif", "--fail-on", "never"],
+                env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            document = json.loads(result.stdout)
+            for run in document["runs"]:
+                del run["properties"]["analysisSeconds"]
+                del run["properties"]["lintSeconds"]
+            documents.append(document)
+        assert documents[0]["runs"][0]["results"]
+        assert documents[0] == documents[1]
