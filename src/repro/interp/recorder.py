@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 from ..core.solution import MayAliasSolution
 from ..icfg.ir import Node
 from ..names.alias_pairs import AliasPair
-from ..names.object_names import ObjectName
+from ..names.object_names import ObjectName, is_nonvisible_based
 from .memory import Memory, Obj
 
 
@@ -121,14 +121,10 @@ class SoundnessChecker:
     def _nonvisible_covered(self, node: Node, visible: ObjectName) -> bool:
         """Is ``visible`` paired with the nonvisible token at ``node``
         (exactly or through a truncated representative)?"""
-        for _, pair in self.solution.store.at_node(node.nid):
-            nv = pair.nonvisible_member()
-            if nv is None:
-                continue
-            other = pair.other(nv)
-            if other == visible or (other.truncated and other.is_prefix(visible)):
-                return True
-        return False
+        return any(
+            is_nonvisible_based(name)
+            for name in self.solution.may_alias_names(node, visible)
+        )
 
     def check_observed(self, node: Node, pairs: set[AliasPair]) -> None:
         """Check one node's observed alias set against the solution
