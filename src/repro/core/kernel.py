@@ -27,16 +27,37 @@ Equivalence contract (pinned by the PR-6 difftest edge): for any
 program, the kernel's fact *set* — pairs, assumptions and taint bits —
 and every per-node ``pairs_at`` answer are **identical** to the
 reference engine's.  Every rule application mirrors the reference's
-control flow, with one deliberate divergence: the return join is
-*directed* (see ``_join_record``) — on a call-site pop only the popping
-fact's bind record is joined against the callee's exit facts, instead
-of rescanning the whole record-by-exit-fact product.  Every skipped
-pair is a join the reference also performs but whose ``make_true`` is
-an exact no-op; the only observable difference is that a return fact
-can first materialize at the exit fact's own pop rather than at an
-earlier redundant rescan, so fact *insertion order* (and the redundant-
-work counters) may differ between engines while sets, taint and
-answers cannot.
+control flow, with two deliberate divergences, both in the return
+join:
+
+* It is *directed* (see ``_join_slot``): on a call-site pop only the
+  popping fact's slot is joined against the callee's exit facts,
+  instead of rescanning the whole record-by-exit-fact product.  Every
+  skipped pair is a join the reference also performs but whose
+  ``make_true`` is an exact no-op; the only observable difference is
+  that a return fact can first materialize at the exit fact's own pop
+  rather than at an earlier redundant rescan, so fact *insertion
+  order* (and the redundant-work counters) may differ between engines
+  while sets, taint and answers cannot.
+* It joins *slots*, not bind records.  A record is (caller fact,
+  represented name), and the fact a join creates at the return node
+  depends only on the exit fact, the caller fact's *assumption* and
+  the name each nonvisible token stands for (Figure 3, back-bind); the
+  caller pair decides nothing but taint.  So the registry groups the
+  records of each call site and entry pair into slots by (caller
+  assumption, representative), and joins each slot once at the OR of
+  its members' taints.  That equals joining every member: each
+  member's join creates the same fact at ``exit taint AND member
+  taint``, and ``make_true`` keeps the highest taint it is given.  The
+  OR is read *live*, each member's call fact at join time, exactly as
+  the record join read its own call fact, so a one-member slot
+  behaves like the record it replaces (a budget-cut run, whose fact
+  set depends on the order of work, stays unchanged).  A member pop
+  joins its slot only when the slot is new or its live taint rose
+  above the taint of the slot's last member-pop join — otherwise
+  every combination it would try was already made at that taint, and
+  the exit facts that arrived since joined the slot at their own
+  pops.  Exit-side joins always join every slot.
 
 The reference engine remains the executable specification: it runs via
 ``engine="reference"``; everything else defaults to the kernel (see
@@ -68,7 +89,7 @@ from ..names.object_names import (
 )
 from . import assumptions
 from .assumptions import Assumption
-from .bind import CallBinder
+from .bind import BoundAlias, CallBinder
 from .metrics import (
     PHASE_INIT,
     PHASE_POST,
@@ -80,20 +101,10 @@ from .metrics import (
 from .store import PairCounts, StoreStats
 from .transfer import RhsView, _prefixes, _transplant_onto
 
-# Optional acceleration: numpy is used only for whole-column scans
-# (taint_all); the stdlib array/bytearray layout is the primary
-# representation and everything works without numpy.
-try:  # pragma: no cover - environment probe
-    import numpy as _np
-
-    _HAVE_NUMPY = True
-except Exception:  # pragma: no cover
-    _np = None
-    _HAVE_NUMPY = False
-
 # Packed-key shift: ids are dense and stay far below 2**32 (the fact
 # budget caps total facts long before that).
 _SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
 _MISSING = object()
 
 # Mirrors worklist._DEADLINE_CHECK_EVERY.
@@ -140,6 +151,15 @@ def decode_int_column(column: dict, byteorder: str) -> array:
             for i in range(0, len(raw), step)
         ),
     )
+
+
+def _slot_taint(slot: list[int], taint: bytearray) -> int:
+    """Live taint of a join slot: CLEAN when any member's call fact is
+    CLEAN now (a bind_empty member, -1, always is)."""
+    for fid in slot[1:]:
+        if fid < 0 or taint[fid]:
+            return 1
+    return 0
 
 
 class _AssignTable:
@@ -249,15 +269,7 @@ class _CallTable:
             self.binder: Optional[CallBinder] = CallBinder(
                 kernel.ctx, node.stmt, info
             )
-            self.bind_empty = tuple(
-                (
-                    kernel._pair_id(bound.entry_pair),
-                    -1
-                    if bound.represents is None
-                    else kernel._name_id(bound.represents),
-                )
-                for bound in self.binder.bind_empty()
-            )
+            self.bind_empty = kernel._bound_ids(self.binder.bind_empty())
         else:
             self.binder = None
             self.bind_empty = ()
@@ -607,10 +619,15 @@ class KernelAnalysis:
         # (u id << _SHIFT | v id) -> is_prefix_with_deref(u, v).
         self._ipd_memo: dict[int, bool] = {}
         self._callee_ids: dict[str, int] = {}
-        # (call nid << _SHIFT | entry pair id) -> keys-only dict of
-        # (call aa | -1, call pair | -1, represents | -1) records:
-        # O(1) dedup, iteration in registration order.
-        self._registry: dict[int, dict[tuple[int, int, int], None]] = {}
+        # The back-bind registry: (call nid << _SHIFT | entry pair id)
+        # -> {caller aa << _SHIFT | represents + 1: join slot}, slots in
+        # first-registration order.  A slot is a list [joined-at taint
+        # | -1, member call-fact ids...]; a bind_empty member is -1 (see
+        # _join_slot).
+        self._registry: dict[int, dict[int, list[int]]] = {}
+        # Per fact, 1 once its bindings are registered, so a re-pop (a
+        # taint upgrade) registers nothing again.  Grown on demand.
+        self._registered = bytearray()
 
         # -- per-node dispatch tables --------------------------------------
         self._node_tag = bytearray(n_nodes)  # 0 other, 1 call, 2 exit
@@ -803,16 +820,12 @@ class KernelAnalysis:
 
     def _taint_all(self) -> int:
         taint = self._taint
-        if _HAVE_NUMPY:
-            demoted = int(
-                _np.count_nonzero(_np.frombuffer(bytes(taint), dtype=_np.uint8))
-            )
-        else:
-            demoted = sum(taint)
+        demoted = taint.count(1)
         self._taint = bytearray(len(taint))
         self._worklist.clear()
         self._pending = bytearray(len(self._pending))
         self._popped = bytearray(len(self._popped))
+        self._reset_slot_joins()
         return demoted
 
     # -- emission plans ------------------------------------------------------
@@ -1004,39 +1017,32 @@ class KernelAnalysis:
         """Rebuild the back-bind registry of a restored store exactly as
         the live run built it.
 
-        A live run registers every call site's ``bind_empty`` records
-        during ``_initialize`` (in ICFG node order) and then one record
-        per call-node fact at that fact's *first pop*.  First pops occur
-        in fact-insertion order, and registry keys are per
-        ``(call node, entry pair)``, so replaying each call node's
-        ``_by_node`` bucket in insertion order reproduces every per-key
-        record sequence — which is all the join iteration order can
-        observe."""
+        A live run registers every call site's ``bind_empty`` members
+        during ``_initialize`` (in ICFG node order) and then each
+        call-node fact at its *first pop*.  First pops occur in
+        fact-insertion order, and registry keys are per ``(call node,
+        entry pair)``, so replaying each call node's ``_by_node`` bucket
+        in insertion order reproduces every per-key slot sequence and
+        every slot's members — which is all the join iteration order can
+        observe.  Every slot starts unjoined, as at the start of any
+        drain."""
         for ct in self._call_tables.values():
             if ct.binder is None:
                 continue
             for entry_pid, rep in ct.bind_empty:
-                self._register(ct, entry_pid, -1, -1, rep)
+                self._register(ct, entry_pid, 0, rep, -1)
         for ct in self._call_tables.values():
             if ct.binder is None:
                 continue
             for eid in self._by_node[ct.call_nid]:
+                bound = self._bound(ct, self._entry_pair[eid])
+                if not bound:
+                    continue
+                fid = self._call_fact(ct, eid)
+                self._first_registration(fid)
                 aa_id = self._entry_aa[eid]
-                pid = self._entry_pair[eid]
-                bound = ct.bind_pair_memo.get(pid)
-                if bound is None:
-                    bound = tuple(
-                        (
-                            self._pair_id(b.entry_pair),
-                            -1
-                            if b.represents is None
-                            else self._name_id(b.represents),
-                        )
-                        for b in ct.binder.bind_pair(self._pairs[pid])
-                    )
-                    ct.bind_pair_memo[pid] = bound
                 for entry_pid, rep in bound:
-                    self._register(ct, entry_pid, aa_id, pid, rep)
+                    self._register(ct, entry_pid, aa_id, rep, fid)
 
     def _initialize(self) -> None:
         owned = self.owned_nodes
@@ -1052,7 +1058,7 @@ class KernelAnalysis:
                 if ct.binder is None:
                     continue
                 for entry_pid, rep in ct.bind_empty:
-                    self._register(ct, entry_pid, -1, -1, rep)
+                    self._register(ct, entry_pid, 0, rep, -1)
                     self._make_true(
                         ct.entry_nid, self._single_aa(entry_pid), entry_pid, 1
                     )
@@ -1103,21 +1109,89 @@ class KernelAnalysis:
                 for eid in self._by_node[entry_nid]:
                     self._make_true_entry(entry_nid, eid, 1)
 
+    def _bound_ids(
+        self, bound_aliases: tuple[BoundAlias, ...]
+    ) -> tuple[tuple[int, int], ...]:
+        """Distinct ``(entry pair id, represents id | -1)`` of a binder
+        result, in binding order."""
+        return tuple(
+            dict.fromkeys(
+                (
+                    self._pair_id(b.entry_pair),
+                    -1 if b.represents is None else self._name_id(b.represents),
+                )
+                for b in bound_aliases
+            )
+        )
+
+    def _bound(self, ct: _CallTable, pid: int) -> tuple[tuple[int, int], ...]:
+        bound = ct.bind_pair_memo.get(pid)
+        if bound is None:
+            assert ct.binder is not None
+            bound = self._bound_ids(ct.binder.bind_pair(self._pairs[pid]))
+            ct.bind_pair_memo[pid] = bound
+        return bound
+
+    def _call_fact(self, ct: _CallTable, eid: int) -> int:
+        """Fact id of entry ``eid`` at ``ct``'s call node, which the
+        node's bucket lists.  Facts are never retracted, so a miss means
+        the store's indexes disagree and the registry would hold a
+        stale record."""
+        fid = self._fact_ids.get((eid << _SHIFT) | ct.call_nid)
+        if fid is None:
+            self.stale_bind_records += 1
+            raise AssertionError(
+                f"stale BindRecord at call n{ct.call_nid}: "
+                f"{self._pairs[self._entry_pair[eid]]} under "
+                f"{self._aas[self._entry_aa[eid]]}"
+            )
+        return fid
+
     def _register(
-        self, ct: _CallTable, entry_pid: int, call_aa: int, call_pid: int, rep: int
-    ) -> bool:
+        self, ct: _CallTable, entry_pid: int, caller_aa: int, rep: int, member: int
+    ) -> list[int]:
+        """Add a member (a call-fact id, or -1 for a bind_empty binding)
+        to its join slot and return the slot.  Callers register each
+        binding once."""
         key = (ct.call_nid << _SHIFT) | entry_pid
-        records = self._registry.get(key)
-        record = (call_aa, call_pid, rep)
-        if records is None:
-            # Insertion-ordered keys-only dict: O(1) dedup, and
-            # iteration replays registration order exactly.
-            self._registry[key] = {record: None}
-            return True
-        if record in records:
+        slots = self._registry.get(key)
+        if slots is None:
+            slots = self._registry[key] = {}
+        slot_key = (caller_aa << _SHIFT) | (rep + 1)
+        slot = slots.get(slot_key)
+        if slot is None:
+            slots[slot_key] = slot = [-1, member]
+        else:
+            slot.append(member)
+        return slot
+
+    def _first_registration(self, fid: int) -> bool:
+        """Mark call fact ``fid`` registered; False when it already was."""
+        registered = self._registered
+        if fid >= len(registered):
+            registered.extend(bytes(len(self._fact_node) - len(registered)))
+        if registered[fid]:
             return False
-        records[record] = None
+        registered[fid] = 1
         return True
+
+    def _reset_slot_joins(self) -> None:
+        for slots in self._registry.values():
+            for slot in slots.values():
+                slot[0] = -1
+
+    def registry_counts(self) -> tuple[int, int, int]:
+        """``(keys, join slots, records)`` of the back-bind registry.  A
+        record is one slot member, so records exceed slots exactly when
+        some slot has several members."""
+        slots = [
+            slot for by_key in self._registry.values() for slot in by_key.values()
+        ]
+        return (
+            len(self._registry),
+            len(slots),
+            sum(len(slot) - 1 for slot in slots),
+        )
 
     def _drain(self) -> None:
         deadline_at: Optional[float] = None
@@ -1166,18 +1240,22 @@ class KernelAnalysis:
             if tag == 0:
                 process_other(nid, fact_entry[fid], state)
             elif tag == 1:
-                process_call(nid, fact_entry[fid], state)
+                process_call(nid, fid, state)
             else:
-                process_exit(nid, fact_entry[fid])
+                process_exit(nid, fact_entry[fid], state)
         self.steps = steps
         # Drained: every queued fact has been processed at its recorded
         # taint, so the stale-skip bytes have done their job — reset
         # them (the reference clears its map here too; a later
-        # warm-start re-run begins with a clean slate).
+        # warm-start re-run begins with a clean slate).  The slots'
+        # joined-at marks go with them, so a packed-and-restored kernel,
+        # whose slots replay unjoined, drains exactly like a live one.
         self._popped = bytearray(len(self._popped))
+        self._reset_slot_joins()
 
     def engine_report(self) -> EngineReport:
         stats = self.stats
+        registry_keys, _, registry_records = self.registry_counts()
         return EngineReport(
             facts=stats.facts,
             worklist_pushes=stats.worklist_pushes,
@@ -1188,8 +1266,8 @@ class KernelAnalysis:
             join_calls=self.join_calls,
             join_fanout=self.join_fanout,
             stale_bind_records=self.stale_bind_records,
-            registry_keys=len(self._registry),
-            registry_records=sum(len(r) for r in self._registry.values()),
+            registry_keys=registry_keys,
+            registry_records=registry_records,
             interned_names=interned_name_count(),
             interned_pairs=interned_pair_count(),
         )
@@ -1202,9 +1280,11 @@ class KernelAnalysis:
                 self._make_true_entry(succ_nid, eid, clean)
             else:
                 self._apply(table, nid, succ_nid, eid, clean)
-    def _process_call(self, nid: int, eid: int, clean: int) -> None:
+
+    def _process_call(self, nid: int, fid: int, clean: int) -> None:
         ct = self._call_tables[nid]
         assert ct.binder is not None
+        eid = self._fact_entry[fid]
         aa_id = self._entry_aa[eid]
         pid = self._entry_pair[eid]
         # Rule 1: the callee is in the scope of neither member.
@@ -1214,43 +1294,46 @@ class KernelAnalysis:
             ct.both_inv_memo[pid] = both_inv
         if both_inv:
             self._make_true_entry(ct.ret_nid, eid, clean)
-        bound = ct.bind_pair_memo.get(pid)
-        if bound is None:
-            bound = tuple(
-                (
-                    self._pair_id(b.entry_pair),
-                    -1
-                    if b.represents is None
-                    else self._name_id(b.represents),
-                )
-                for b in ct.binder.bind_pair(self._pairs[pid])
-            )
-            ct.bind_pair_memo[pid] = bound
+        bound = self._bound(ct, pid)
+        if not bound:
+            return
+        first_pop = self._first_registration(fid)
+        call_base = ct.call_nid << _SHIFT
         by_assumed = self._by_node_assumed[ct.exit_nid]
         for entry_pid, rep in bound:
             self._make_true(
                 ct.entry_nid, self._single_aa(entry_pid), entry_pid, 1
             )
-            self._register(ct, entry_pid, aa_id, pid, rep)
+            if first_pop:
+                slot = self._register(ct, entry_pid, aa_id, rep, fid)
+            else:
+                slot = self._registry[call_base | entry_pid][
+                    (aa_id << _SHIFT) | (rep + 1)
+                ]
             # Directed reverse matching over both nonvisible token
-            # forms: of the record-by-exit-fact product the reference
-            # engine rescans here, only pairs involving THIS fact's
-            # record can create a fact or move a taint bit — every
+            # forms: of the slot-by-exit-fact product the reference
+            # engine rescans here (record by record), only pairs
+            # involving THIS fact's slot can create a fact or move a
+            # taint bit, and only when the slot is new or its live
+            # taint rose since a member pop last joined it — every
             # other pair was joined when its own trigger popped, and a
             # repeat join is an exact no-op on store and worklist.
-            record = (aa_id, pid, rep)
+            live = _slot_taint(slot, self._taint)
+            if live <= slot[0]:
+                continue
+            slot[0] = live
             bucket = by_assumed.get(entry_pid)
             if bucket:
-                self._join_record(ct, entry_pid, record, bucket)
+                self._join_slot(ct, entry_pid, aa_id, rep, live, bucket)
             second = self._second_form(entry_pid)
             if second != entry_pid:
                 bucket = by_assumed.get(second)
                 if bucket:
-                    self._join_record(ct, entry_pid, record, bucket)
+                    self._join_slot(ct, entry_pid, aa_id, rep, live, bucket)
 
-    def _process_exit(self, nid: int, eid: int) -> None:
+    def _process_exit(self, nid: int, eid: int, clean: int) -> None:
         for ct in self._exit_calls[nid]:
-            self._join_return(ct, eid)
+            self._join_return(ct, eid, clean)
 
     def _second_form(self, pid: int) -> int:
         second = self._second_form_memo.get(pid)
@@ -1272,12 +1355,31 @@ class KernelAnalysis:
 
     # -- the return join ------------------------------------------------------
 
-    def _join_record(
-        self, ct: _CallTable, key_pid: int, record: tuple, bucket: list
+    def _slots(self, key: int) -> list[tuple[int, int, int]]:
+        """``(caller aa, represents | -1, live taint)`` of every join
+        slot under one registry key, in first-registration order."""
+        slots = self._registry.get(key)
+        if not slots:
+            return []
+        taint = self._taint
+        return [
+            (slot_key >> _SHIFT, (slot_key & _LOW) - 1, _slot_taint(slot, taint))
+            for slot_key, slot in slots.items()
+        ]
+
+    def _join_slot(
+        self,
+        ct: _CallTable,
+        key_pid: int,
+        aa_id: int,
+        rep: int,
+        live: int,
+        bucket: list,
     ) -> None:
-        """Join one (new or taint-changed) call-site record against the
-        exit facts of one assumed-pair bucket (the call-side direction
-        of the reverse match; :meth:`_join_return` is the exit-side)."""
+        """Join one call-site slot (new, or its live taint risen) against
+        the exit facts of one assumed-pair bucket (the call-side
+        direction of the reverse match; :meth:`_join_return` is the
+        exit-side)."""
         entry_aa = self._entry_aa
         entry_pair = self._entry_pair
         aa_pairs = self._aa_pairs
@@ -1285,134 +1387,104 @@ class KernelAnalysis:
         taint = self._taint
         exit_nid = ct.exit_nid
         call_base = ct.call_nid << _SHIFT
-        registry = self._registry
         join_one = self._join_one
+        # Joins write only the return node, so partner slot taints hold
+        # for the whole scan.
+        partners_of: dict[int, list[tuple[int, int, int]]] = {}
         for exit_eid in tuple(bucket):
             self.join_calls += 1
             assumed = aa_pairs[entry_aa[exit_eid]]
             exit_pid = entry_pair[exit_eid]
-            exit_taint = taint[fact_ids[(exit_eid << _SHIFT) | exit_nid]]
+            clean = live & taint[fact_ids[(exit_eid << _SHIFT) | exit_nid]]
             if len(assumed) == 1:
                 # A single-assumption fact in the second-token-form
-                # bucket resolves its records under that *other* key;
-                # our record is not among them (and those joins already
+                # bucket resolves its slots under that *other* key;
+                # our slot is not among them (and those joins already
                 # ran), so only the exact-key match is live.
                 if assumed[0] == key_pid:
-                    join_one(ct, exit_pid, exit_taint, (record,), (1,))
+                    join_one(ct, exit_pid, clean, aa_id, rep)
                 continue
             n1 = self._normalize(assumed[0])
             n2 = self._normalize(assumed[1])
             if n1 == key_pid:
-                partners = registry.get(call_base | n2)
-                if partners:
-                    for partner in partners:
-                        join_one(
-                            ct, exit_pid, exit_taint, (record, partner), (1, 2)
-                        )
+                partners = partners_of.get(n2)
+                if partners is None:
+                    partners = partners_of[n2] = self._slots(call_base | n2)
+                for p_aa, p_rep, p_live in partners:
+                    join_one(
+                        ct, exit_pid, clean & p_live, aa_id, rep, p_aa, p_rep
+                    )
             if n2 == key_pid:
-                partners = registry.get(call_base | n1)
-                if partners:
-                    for partner in partners:
-                        join_one(
-                            ct, exit_pid, exit_taint, (partner, record), (1, 2)
-                        )
+                partners = partners_of.get(n1)
+                if partners is None:
+                    partners = partners_of[n1] = self._slots(call_base | n1)
+                for p_aa, p_rep, p_live in partners:
+                    join_one(
+                        ct, exit_pid, clean & p_live, p_aa, p_rep, aa_id, rep
+                    )
 
-    def _join_return(self, ct: _CallTable, exit_eid: int) -> None:
+    def _join_return(self, ct: _CallTable, exit_eid: int, exit_taint: int) -> None:
         self.join_calls += 1
         exit_pid = self._entry_pair[exit_eid]
-        exit_aa = self._entry_aa[exit_eid]
-        exit_taint = self._taint[
-            self._fact_ids[(exit_eid << _SHIFT) | ct.exit_nid]
-        ]
-        assumed = self._aa_pairs[exit_aa]
+        assumed = self._aa_pairs[self._entry_aa[exit_eid]]
         if not assumed:
             translated = self._translate(ct, exit_pid, -1, -1)
             if translated is not None:
                 self._make_true(ct.ret_nid, 0, translated[2], exit_taint)
             return
+        call_base = ct.call_nid << _SHIFT
         if len(assumed) == 1:
-            records = self._registry.get(
-                (ct.call_nid << _SHIFT) | assumed[0]
-            )
-            if records:
-                for record in records:
-                    self._join_one(
-                        ct, exit_pid, exit_taint, (record,), (1,)
-                    )
+            for aa, rep, live in self._slots(call_base | assumed[0]):
+                self._join_one(ct, exit_pid, exit_taint & live, aa, rep)
             return
-        records1 = self._registry.get(
-            (ct.call_nid << _SHIFT) | self._normalize(assumed[0]), ()
-        )
-        records2 = self._registry.get(
-            (ct.call_nid << _SHIFT) | self._normalize(assumed[1]), ()
-        )
-        for rec1 in records1:
-            for rec2 in records2:
-                self._join_one(ct, exit_pid, exit_taint, (rec1, rec2), (1, 2))
+        slots2 = self._slots(call_base | self._normalize(assumed[1]))
+        if not slots2:
+            return
+        for aa1, rep1, live1 in self._slots(
+            call_base | self._normalize(assumed[0])
+        ):
+            taint1 = exit_taint & live1
+            for aa2, rep2, live2 in slots2:
+                self._join_one(
+                    ct, exit_pid, taint1 & live2, aa1, rep1, aa2, rep2
+                )
 
     def _join_one(
         self,
         ct: _CallTable,
         exit_pid: int,
-        exit_taint: int,
-        records: tuple,
-        indices: tuple[int, ...],
+        taint: int,
+        aa1: int,
+        rep1: int,
+        aa2: int = -1,
+        rep2: int = -1,
     ) -> None:
+        """Instantiate one exit pair at one slot, or at a slot pair when
+        ``aa2 >= 0`` (slot 1 binds ``$nv1``, slot 2 ``$nv2``), with the
+        already-combined taint."""
         self.join_fanout += 1
-        taint = exit_taint
-        sub1 = sub2 = -1
-        owner1 = owner2 = -1  # record position owning each nv token
-        caller_aas: list[int] = []
-        for position, (record, index) in enumerate(zip(records, indices)):
-            call_aa, call_pid, rep = record
-            if call_pid >= 0:
-                eid = self._entry_ids[(call_aa << _SHIFT) | call_pid]
-                fid = self._fact_ids.get((eid << _SHIFT) | ct.call_nid)
-                if fid is None:
-                    self.stale_bind_records += 1
-                    raise AssertionError(
-                        f"stale BindRecord at call n{ct.call_nid}: "
-                        f"{self._pairs[call_pid]} under {self._aas[call_aa]}"
-                    )
-                if not self._taint[fid]:
-                    taint = 0
-                caller_aas.append(call_aa)
-            else:
-                caller_aas.append(0)
-            if rep >= 0:
-                if index == 1:
-                    sub1 = rep
-                    owner1 = position
-                else:
-                    sub2 = rep
-                    owner2 = position
-        translated = self._translate(ct, exit_pid, sub1, sub2)
+        translated = self._translate(ct, exit_pid, rep1, rep2)
         if translated is None:
             return
         m1, m2, translated_pid = translated
-        if len(caller_aas) == 1:
-            self._make_true(ct.ret_nid, caller_aas[0], translated_pid, taint)
+        if aa2 < 0:
+            self._make_true(ct.ret_nid, aa1, translated_pid, taint)
             return
-        # Two records: the two-assumption caller-side fact case (the
-        # tokens re-form one level up).
+        # Two slots: the two-assumption caller-side fact case (the
+        # tokens re-form one level up).  The translation succeeded, so
+        # each token of the exit pair had its slot's representative:
+        # $nv1 is slot 1's, $nv2 slot 2's.
         name_nv = self._name_nv
         first_nv = name_nv[self._pair_first[exit_pid]]
         second_nv = name_nv[self._pair_second[exit_pid]]
-        owner_first = (
-            owner1 if first_nv == 1 else owner2 if first_nv == 2 else -1
-        )
-        owner_second = (
-            owner1 if second_nv == 1 else owner2 if second_nv == 2 else -1
-        )
         if (
-            owner_first >= 0
-            and owner_second >= 0
-            and owner_first != owner_second
+            first_nv
+            and second_nv
+            and first_nv != second_nv
             and name_nv[m1]
             and name_nv[m2]
         ):
-            aa_first = caller_aas[owner_first]
-            aa_second = caller_aas[owner_second]
+            aa_first, aa_second = (aa1, aa2) if first_nv == 1 else (aa2, aa1)
             if (
                 self._aa_has_nv[aa_first]
                 and self._aa_has_nv[aa_second]
@@ -1426,7 +1498,6 @@ class KernelAnalysis:
                             ct.ret_nid, combined_aa, combined_pid, taint
                         )
                     return
-        aa1, aa2 = caller_aas
         chosen = aa1 if self._aa_has_nv[aa1] or not self._aa_has_nv[aa2] else aa2
         self._make_true(ct.ret_nid, chosen, translated_pid, taint)
 

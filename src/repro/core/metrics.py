@@ -121,8 +121,9 @@ class EngineReport:
     stale_skips: int = 0
     upgrades: int = 0
     # Interprocedural joins.
-    join_calls: int = 0       # _join_return invocations
-    join_fanout: int = 0      # record combinations attempted (_join_one)
+    join_calls: int = 0       # exit facts joined (exit-side and call-side scans)
+    join_fanout: int = 0      # combinations attempted: bind records on the
+    #                           reference engine, join slots on the kernel
     stale_bind_records: int = 0
     # Registry / intern table sizes at the end of the run.
     registry_keys: int = 0

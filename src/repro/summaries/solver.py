@@ -126,10 +126,7 @@ def _counters_of(kernel: KernelAnalysis) -> dict:
     out["join_fanout"] = kernel.join_fanout
     out["stale_bind_records"] = kernel.stale_bind_records
     out["steps"] = kernel.steps
-    out["registry_keys"] = len(kernel._registry)
-    out["registry_records"] = sum(
-        len(records) for records in kernel._registry.values()
-    )
+    out["registry_keys"], _, out["registry_records"] = kernel.registry_counts()
     return out
 
 

@@ -7,7 +7,13 @@ identical taint bits, identical per-node ``pairs_at`` answers.
 Insertion order is not compared — the kernel's directed return join
 reorders fact creation (see the kernel module docstring), and the
 summary engine's merged store replays facts procedure-by-procedure.
+
+The fixtures and generated programs never put two call facts into one
+return-join slot; the lowered real C of ``corpus/`` does, so its rows
+are the ones that exercise the kernel's slot collapse.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +27,9 @@ from repro.programs import (
     ProgramSpec,
     generate_program,
 )
-from repro.summaries.solver import solve_summary
+from repro.summaries.solver import SummaryAnalysis, solve_summary
+
+CORPUS = Path(__file__).resolve().parents[2] / "corpus"
 
 # Fixtures cheap enough for the default profile; the heavyweights (the
 # reference engine needs ~45s on string_table alone) run under -m slow.
@@ -165,3 +173,72 @@ def test_scale_fixture_summary_equivalent(target):
 def test_summary_equivalence_holds_across_k(k):
     _assert_summary_equivalent(ALL_FIXTURES["figure1"], k=k)
     _assert_summary_equivalent(ALL_FIXTURES["matrix_swap"], k=k)
+
+
+# --- lowered real C: return-join slots with several members -------------
+
+# The reference engine solves each of these in well under a second at
+# k=1; it does not finish pool.c, so pool.c has a summary row only (and
+# a digest pin in tests/unit/core/test_kernel.py).
+LOWERED_REFERENCE_ROWS = ["queue.c", "intern.c", "bst.c"]
+LOWERED_SUMMARY_ROWS = [*LOWERED_REFERENCE_ROWS, "pool.c"]
+
+
+def _lowered(filename):
+    """A corpus file lowered the way ``corpus_file_unit`` lowers it."""
+    pytest.importorskip("pycparser")
+    from repro.corpus.stubs import synthesize_stubs
+    from repro.frontend.pycparser_bridge import parse_c_lenient
+    from repro.frontend.semantics import analyze
+    from repro.icfg.builder import IcfgBuilder
+
+    unit = parse_c_lenient((CORPUS / filename).read_text(), filename)
+    synthesize_stubs(unit.program)
+    analyzed = analyze(unit.program)
+    return analyzed, IcfgBuilder(analyzed).build()
+
+
+def _has_multi_member_slot(kernel):
+    _keys, slots, records = kernel.registry_counts()
+    return records > slots
+
+
+@pytest.mark.parametrize("filename", LOWERED_REFERENCE_ROWS)
+def test_lowered_c_engines_equivalent(filename):
+    analyzed, icfg = _lowered(filename)
+    reference = MayHoldAnalysis(analyzed, icfg, k=1).run()
+    kernel = KernelAnalysis(analyzed, icfg, k=1)
+    store = kernel.run()
+    assert _has_multi_member_slot(kernel)
+    _assert_store_equal(icfg, reference, store, "reference", "kernel")
+
+
+@pytest.mark.parametrize("filename", LOWERED_SUMMARY_ROWS)
+def test_lowered_c_summary_equivalent(filename):
+    analyzed, icfg = _lowered(filename)
+    kernel = KernelAnalysis(analyzed, icfg, k=1).run()
+    summary = SummaryAnalysis(analyzed, icfg, k=1)
+    store = summary.run()
+    assert any(
+        _has_multi_member_slot(solver.kernel)
+        for solver in summary.solvers.values()
+        if solver.kernel is not None
+    )
+    _assert_store_equal(icfg, kernel, store, "kernel", "summary")
+
+
+def test_lowered_c_summary_counters_independent_of_jobs():
+    """Worker transport packs a procedure's kernel and restores it with
+    every slot unjoined; a live kernel reaches the same state at the end
+    of each drain, so join counters do not depend on the job count."""
+    reports = []
+    for jobs in (1, 2):
+        analyzed, icfg = _lowered("intern.c")
+        solution = solve_summary(
+            analyzed, icfg, k=1, jobs=jobs, oversubscribe=True
+        )
+        counters = solution.engine.as_dict()
+        # The intern tables are process-wide gauges, not run counters.
+        del counters["interned_names"], counters["interned_pairs"]
+        reports.append(counters)
+    assert reports[0] == reports[1]

@@ -7,6 +7,13 @@ kernel's directed return join skips the reference's redundant record
 rescans).
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import analyze_source
@@ -20,6 +27,7 @@ from repro.names import AliasPair, ObjectName
 from repro.programs import ALL_FIXTURES
 
 FIGURE1 = ALL_FIXTURES["figure1"]
+ROOT = Path(__file__).resolve().parents[3]
 
 
 def _solve(engine_cls, source, k=3, **kwargs):
@@ -225,3 +233,60 @@ class TestEngineReport:
     def test_solution_report_plumbed_through(self):
         solution = analyze_source(FIGURE1)
         assert solution.engine.facts == len(solution.store)
+
+
+class TestLoweredPool:
+    """Lowered ``corpus/pool.c`` at k=1: 697 of its return-join slots
+    have several members, and the reference engine does not finish it
+    in useful time, so its answer is pinned by digest instead."""
+
+    def test_fact_set_and_join_fanout_pinned(self):
+        pytest.importorskip("pycparser")
+        from repro.corpus.stubs import synthesize_stubs
+        from repro.frontend.pycparser_bridge import parse_c_lenient
+        from repro.frontend.semantics import analyze
+        from repro.icfg.builder import IcfgBuilder
+        from repro.io import pair_to_json
+
+        unit = parse_c_lenient((ROOT / "corpus" / "pool.c").read_text(), "pool.c")
+        synthesize_stubs(unit.program)
+        analyzed = analyze(unit.program)
+        icfg = IcfgBuilder(analyzed).build()
+        solution = analyze_program(analyzed, icfg, k=1)
+        assert solution.complete
+        assert len(solution.store) == 56_369
+        # sha256 over the sorted (node, AA, PA, taint) rows, AA and PA
+        # in their JSON encoding: the benchmark's golden digest.
+        rows = sorted(
+            (
+                nid,
+                json.dumps([pair_to_json(p) for p in assumption]),
+                json.dumps(pair_to_json(pair)),
+                int(bool(clean)),
+            )
+            for (nid, assumption, pair), clean in solution.store.facts()
+        )
+        digest = hashlib.sha256()
+        for row in rows:
+            digest.update(("\t".join(map(str, row)) + "\n").encode("utf-8"))
+        assert digest.hexdigest() == (
+            "2ea109e42f10bafc2215e24e3796ee34c73958dbee59af9d8929ce5023f8ebb8"
+        )
+        # Joining each (caller assumption, representative) slot once:
+        # 124,627 attempts, against 1,936,500 record by record.
+        assert solution.engine.join_fanout < 200_000
+
+
+def test_import_does_not_load_numpy():
+    """The core is stdlib-only (DESIGN.md §3): importing numpy would
+    cost every run tens of milliseconds before its first solve."""
+    code = "import sys, repro; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
