@@ -32,7 +32,7 @@ from .keys import (
     entry_key,
 )
 from .solve import solve_with_cache, verify_cache
-from .store import CACHE_ENTRY_SCHEMA, CacheCounters, SolutionCache
+from .store import CACHE_ENTRY_SCHEMA, CacheCounters, SolutionCache, open_cache
 
 __all__ = [
     "CACHE_ENTRY_SCHEMA",
@@ -43,6 +43,7 @@ __all__ = [
     "canonical_program_text",
     "engine_config_dict",
     "entry_key",
+    "open_cache",
     "solve_with_cache",
     "verify_cache",
 ]

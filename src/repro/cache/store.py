@@ -250,3 +250,10 @@ class SolutionCache:
             "counters": self.counters.as_dict(),
             "hit_rate": self.counters.hit_rate,
         }
+
+
+def open_cache(cache_dir: Optional[Path | str]) -> Optional[SolutionCache]:
+    """A handle on the store under ``cache_dir``, or None when no cache
+    directory was given (caching off) — the one way the CLI, the sweep
+    units and the harnesses open the cache."""
+    return SolutionCache(cache_dir) if cache_dir else None

@@ -38,18 +38,11 @@ def _pycparser_parse_errors() -> tuple:
     return tuple(errors)
 
 
-def _open_cache(cache_dir):
-    if cache_dir is None:
-        return None
-    from ..cache.store import SolutionCache
-
-    return SolutionCache(cache_dir)
-
-
 def corpus_file_unit(payload: dict) -> dict:
     """Analyze one real C translation unit end to end (picklable)."""
     from ..baselines.weihl import weihl_aliases
     from ..cache.solve import solve_with_cache
+    from ..cache.store import open_cache
     from ..frontend.diagnostics import MiniCError
     from ..frontend.pycparser_bridge import parse_c_lenient
     from ..frontend.semantics import analyze
@@ -91,7 +84,7 @@ def corpus_file_unit(payload: dict) -> dict:
             "semantic_error", err, ledger=unit.ledger.as_dict(), stubs=stubs
         )
 
-    cache = _open_cache(payload.get("cache_dir"))
+    cache = open_cache(payload.get("cache_dir"))
     solution, cache_status = solve_with_cache(
         analyzed,
         icfg,

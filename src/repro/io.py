@@ -84,13 +84,6 @@ def pair_from_json(data: list) -> AliasPair:
     return AliasPair(name_from_json(data[0]), name_from_json(data[1]))
 
 
-# Backwards-compatible private aliases (pre-PR5 spelling).
-_name_to_json = name_to_json
-_name_from_json = name_from_json
-_pair_to_json = pair_to_json
-_pair_from_json = pair_from_json
-
-
 def solution_to_dict(
     solution: MayAliasSolution, include_report: bool = False, packed: bool = False
 ) -> dict:
@@ -295,7 +288,7 @@ class LoadedSolution:
         self._clean: dict[tuple[int, AliasPair], bool] = {}
         for fact in facts_json_from_document(document):
             nid = fact["node"]
-            pair = _pair_from_json(fact["pair"])
+            pair = pair_from_json(fact["pair"])
             self._pairs_at.setdefault(nid, set()).add(pair)
             partners = self._partners.setdefault(nid, {})
             partners.setdefault(pair.first, set()).add(pair.second)

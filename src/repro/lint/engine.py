@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..core.analysis import analyze_program
 from ..frontend.semantics import AnalyzedProgram, parse_and_analyze
 from ..icfg.builder import IcfgBuilder
 from ..icfg.graph import ICFG
@@ -56,19 +55,12 @@ def make_provider(
     :class:`repro.cache.SolutionCache`) short-circuits the ``"lr"``
     solve through the content-addressed result cache."""
     if name == "lr":
-        if cache is not None:
-            from ..cache.solve import solve_with_cache
+        from ..cache.solve import solve_with_cache
 
-            solution, _status = solve_with_cache(
-                analyzed,
-                icfg,
-                k=k,
-                max_facts=max_facts,
-                on_budget="raise",
-                cache=cache,
-            )
-            return solution
-        return analyze_program(analyzed, icfg, k=k, max_facts=max_facts)
+        solution, _status = solve_with_cache(
+            analyzed, icfg, k=k, max_facts=max_facts, on_budget="raise", cache=cache
+        )
+        return solution
     if name == "weihl":
         from ..baselines.weihl import weihl_aliases
         from ..clients.adapters import WeihlBackedSolution

@@ -11,8 +11,8 @@ This package fans those units out across worker processes:
   is restarted a bounded number of times, then the affected units are
   *degraded*, mirroring the PR-1 budget path — never a hang), and an
   optional global deadline.
-* :mod:`repro.parallel.units` — picklable worker functions for the
-  CLI-level sweeps (per-file analyze).
+* :mod:`repro.parallel.units` — the per-file units of ``repro
+  analyze``, ``lint`` and ``difftest --replay``, alone or sharded.
 
 Parallelism *within* one program belongs to the summary engine
 (:mod:`repro.summaries`), whose per-procedure drains run in their own
