@@ -64,6 +64,11 @@ class MiniCError(Exception):
         self.message = message
         self.span = span
 
+    def __reduce__(self):
+        # Rebuild from the parts, not the formatted text, so an error
+        # raised in a worker process reads the same in the parent.
+        return type(self), (self.message, self.span)
+
 
 class LexError(MiniCError):
     """Raised when the scanner meets an unrecognized character sequence."""

@@ -1,5 +1,7 @@
 """Unit tests for source positions and diagnostics."""
 
+import pickle
+
 import pytest
 
 from repro.frontend.diagnostics import (
@@ -7,6 +9,7 @@ from repro.frontend.diagnostics import (
     Diagnostic,
     DiagnosticSink,
     MiniCError,
+    ParseError,
     Position,
     Span,
 )
@@ -47,6 +50,13 @@ class TestErrors:
         err = MiniCError("bad thing", Span(Position(5, 3, 0), Position(5, 4, 1), "x.c"))
         assert "x.c:5:3" in str(err)
         assert err.message == "bad thing"
+
+    def test_error_survives_pickling(self):
+        err = ParseError("bad thing", Span(Position(5, 3, 0), Position(5, 4, 1), "x.c"))
+        clone = pickle.loads(pickle.dumps(err))
+        assert type(clone) is ParseError
+        assert str(clone) == str(err) == "x.c:5:3: bad thing"
+        assert clone.span == err.span
 
 
 class TestSink:
