@@ -169,15 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the Weihl [Wei80] baseline and report its count",
     )
     parser.add_argument(
-        "--must",
-        action="store_true",
-        help=(
-            "also run the must-alias under-approximation (repro.must) "
-            "and report the [must, may] precision interval; adds "
-            "'must' and 'interval' blocks to --stats-json"
-        ),
-    )
-    parser.add_argument(
         "--dot",
         action="store_true",
         help="print the ICFG in Graphviz DOT format and exit",
@@ -444,17 +435,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         help=(
             "minimum severity that makes the exit status non-zero "
             "(default error); 'definite' fails only on every-path "
-            "findings regardless of severity (implies --must); "
-            "'never' always exits 0"
-        ),
-    )
-    parser.add_argument(
-        "--must",
-        action="store_true",
-        help=(
-            "pair the may provider with the must-alias "
-            "under-approximation so detectors can upgrade findings "
-            "from 'possible' to 'definite' (every-path)"
+            "findings regardless of severity; 'never' always exits 0"
         ),
     )
     parser.add_argument(
@@ -558,14 +539,6 @@ def build_difftest_parser() -> argparse.ArgumentParser:
         "generated programs",
     )
     parser.add_argument(
-        "--no-must-check",
-        action="store_true",
-        help=(
-            "skip the must-alias checks (must_subset_lr containment "
-            "and the per-path dynamic must oracle)"
-        ),
-    )
-    parser.add_argument(
         "--no-shrink",
         action="store_true",
         help="on violation, report without shrinking/persisting",
@@ -607,7 +580,6 @@ def difftest_main(argv: list[str]) -> int:
         draws=args.draws,
         max_facts=args.max_facts,
         deadline_seconds=args.deadline_seconds,
-        run_must_check=not args.no_must_check,
     )
 
     if args.replay:

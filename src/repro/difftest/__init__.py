@@ -20,8 +20,6 @@ from .corpus import (
 from .harness import (
     ALL_CHECKS,
     CHECK_LINT_SOUNDNESS,
-    CHECK_MUST_ORACLE,
-    CHECK_MUST_SUBSET_LR,
     CheckResult,
     DifftestConfig,
     ProgramVerdict,
@@ -36,8 +34,6 @@ from .shrink import shrink_source
 __all__ = [
     "ALL_CHECKS",
     "CHECK_LINT_SOUNDNESS",
-    "CHECK_MUST_ORACLE",
-    "CHECK_MUST_SUBSET_LR",
     "CheckResult",
     "DifftestConfig",
     "ProgramVerdict",

@@ -30,12 +30,6 @@ every pointer bug *witnessed at run time* (uninitialized pointer read,
 dangling dereference — see :mod:`repro.interp.events`) must be covered
 by a lint finding on the same variable, and the LR-vs-Weihl finding
 delta is recorded as a precision self-measure.
-
-The ``must_subset_lr`` and ``must_oracle`` checks pin the lattice from
-*below*: the must-alias under-approximation (:mod:`repro.must`) must
-be contained in the LR may solution at every node, and every claimed
-must pair must hold on every recorded dynamic path (per-observation —
-a single divergent execution is a violation).
 """
 
 from __future__ import annotations
@@ -61,8 +55,6 @@ CHECK_PARTIAL_TAINT = "partial_taint"
 CHECK_LINT_SOUNDNESS = "lint_soundness"
 CHECK_KERNEL_EQ_REFERENCE = "kernel_eq_reference"
 CHECK_SUMMARY_EQ_KERNEL = "summary_eq_kernel"
-CHECK_MUST_SUBSET_LR = "must_subset_lr"
-CHECK_MUST_ORACLE = "must_oracle"
 
 ALL_CHECKS = (
     CHECK_DYNAMIC_IN_LR,
@@ -73,8 +65,6 @@ ALL_CHECKS = (
     CHECK_LINT_SOUNDNESS,
     CHECK_KERNEL_EQ_REFERENCE,
     CHECK_SUMMARY_EQ_KERNEL,
-    CHECK_MUST_SUBSET_LR,
-    CHECK_MUST_ORACLE,
 )
 
 
@@ -116,11 +106,6 @@ class DifftestConfig:
     #: assumptions, taint bits and per-node ``pairs_at`` — the PR-7
     #: equality edge of the lattice.
     run_summary_check: bool = True
-    #: Run the must-alias under-approximation and hold it to the
-    #: lattice from below: every must pair must be a may pair
-    #: (``must_subset_lr``) and must hold on *every* recorded dynamic
-    #: path (``must_oracle``) — the PR-8 edges.
-    run_must_check: bool = True
     #: Violations reported per check (the totals are always exact).
     max_violation_reports: int = 8
 
@@ -503,94 +488,6 @@ def _check_summary_eq_kernel(
     )
 
 
-def _check_must_subset_lr(
-    icfg,
-    solution: MayAliasSolution,
-    must_solution,
-    config: DifftestConfig,
-) -> CheckResult:
-    """The under-approximation edge of the lattice: every claimed must
-    pair at every node is also a may pair there (``must ⊆ may``).  A
-    miss means one of the two engines is wrong about this program —
-    either the must pass invented an equality or the may pass lost a
-    path it should have kept."""
-    problems: list[str] = []
-    count = 0
-    checked = 0
-    for node in icfg.nodes:
-        for pair in must_solution.must_pairs(node):
-            checked += 1
-            if not solution.alias_query(node, pair.first, pair.second):
-                count += 1
-                if len(problems) < config.max_violation_reports:
-                    problems.append(
-                        f"must pair {pair} at n{node.nid} [{node.label()}] "
-                        "is not a may alias"
-                    )
-    if count:
-        return CheckResult(
-            CHECK_MUST_SUBSET_LR,
-            "violation",
-            violations=problems,
-            violation_count=count,
-        )
-    return CheckResult(
-        CHECK_MUST_SUBSET_LR,
-        "ok",
-        detail=f"{checked} must pairs all contained in the may solution",
-    )
-
-
-def _check_must_oracle(
-    analyzed,
-    builder,
-    icfg,
-    must_solution,
-    config: DifftestConfig,
-) -> tuple[CheckResult, dict]:
-    """Hold the must pass to concrete execution: a claimed must pair
-    has to denote one cell on *every* recorded path where both names
-    denote (per-observation, no pooling — see
-    :func:`repro.must.validation.validate_must_dynamic`)."""
-    from ..must import validate_must_dynamic
-
-    report = validate_must_dynamic(
-        analyzed,
-        builder,
-        icfg,
-        must_solution,
-        draws=config.draws,
-        seed=config.oracle_seed,
-        fuel=config.fuel,
-        max_derefs=config.k + 1,
-    )
-    stats = report.stats_dict()
-    if not report.ok:
-        shown = [
-            str(v) for v in report.violations[: config.max_violation_reports]
-        ]
-        return (
-            CheckResult(
-                CHECK_MUST_ORACLE,
-                "violation",
-                violations=shown,
-                violation_count=len(report.violations),
-            ),
-            stats,
-        )
-    return (
-        CheckResult(
-            CHECK_MUST_ORACLE,
-            "ok",
-            detail=(
-                f"{report.checked_pairs} pair observations across "
-                f"{report.draws} draws all consistent"
-            ),
-        ),
-        stats,
-    )
-
-
 def _check_lint_soundness(
     analyzed,
     builder,
@@ -717,8 +614,6 @@ def difftest_source(
             CHECK_LINT_SOUNDNESS,
             CHECK_KERNEL_EQ_REFERENCE,
             CHECK_SUMMARY_EQ_KERNEL,
-            CHECK_MUST_SUBSET_LR,
-            CHECK_MUST_ORACLE,
         ):
             verdict.checks.append(
                 CheckResult(check_name, "skipped", detail="analysis budget exceeded")
@@ -838,19 +733,6 @@ def difftest_source(
             verdict.checks.append(
                 _check_summary_eq_kernel(analyzed, icfg, solution, config)
             )
-        if config.run_must_check:
-            from ..must import solve_must
-
-            must_solution = solve_must(analyzed, icfg, k=config.k)
-            verdict.stats["must"] = must_solution.stats_dict()
-            verdict.checks.append(
-                _check_must_subset_lr(icfg, solution, must_solution, config)
-            )
-            oracle_check, oracle_stats = _check_must_oracle(
-                analyzed, builder, icfg, must_solution, config
-            )
-            verdict.stats["must"]["oracle"] = oracle_stats
-            verdict.checks.append(oracle_check)
     else:
         # Partial solution: an all-TAINTED subset of the fixpoint makes
         # no containment claim in either direction.
@@ -865,8 +747,6 @@ def difftest_source(
             CHECK_LINT_SOUNDNESS,
             CHECK_KERNEL_EQ_REFERENCE,
             CHECK_SUMMARY_EQ_KERNEL,
-            CHECK_MUST_SUBSET_LR,
-            CHECK_MUST_ORACLE,
         ):
             verdict.checks.append(CheckResult(check_name, "skipped", detail=detail))
         verdict.checks.append(_check_partial_taint(solution))

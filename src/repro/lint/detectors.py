@@ -23,7 +23,7 @@ feed coverage are only killed by must-assignments, while "definite"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..clients.accesses import Access, node_access
 from ..clients.conflicts import ConflictAnalysis
@@ -51,25 +51,6 @@ def _is_temp(ctx, name: ObjectName) -> bool:
     """Compiler temporaries ($t1, ...) and other synthetic bases."""
     sym = ctx.base_symbol(name)
     return sym is not None and sym.name.startswith("$")
-
-
-def _must_query(solution, node, a: ObjectName, b: ObjectName) -> bool:
-    """True when the provider carries must-alias facts (an
-    :class:`~repro.must.interval.IntervalSolution`) and they pin
-    ``a == b`` at ``node``.  Plain may-providers answer False, so every
-    detector stays provider-agnostic."""
-    query = getattr(solution, "must_alias", None)
-    return bool(query(node, a, b)) if query is not None else False
-
-
-def _must_resolve(solution, node, name: ObjectName) -> Optional[ObjectName]:
-    """The unique storage ``name`` must denote at ``node``, when the
-    provider has a must side; None otherwise."""
-    resolve = getattr(solution, "must_resolve", None)
-    if resolve is None:
-        return None
-    resolved = resolve(node, name)
-    return resolved if isinstance(resolved, ObjectName) else None
 
 
 def _strong_write(w: ObjectName, n: ObjectName) -> bool:
@@ -344,20 +325,6 @@ def find_null_derefs(solution: MayAliasSolution) -> Iterator[Finding]:
                         if not hit:
                             continue
                         must_out.discard(n)
-                        if (
-                            rhs_must
-                            and not stmt.weak
-                            and DEREF in stmt.lhs.selectors
-                            and _must_query(solution, node, stmt.lhs, n)
-                        ):
-                            # A definitely-null value written through a
-                            # must-alias of n: n is definitely null on
-                            # every path past this store (a null write
-                            # target traps, ending the path).
-                            must_out.add(n)
-                            witnesses[(node.nid, n)] = (
-                                f"{stmt.lhs} == {n} (must)"
-                            )
                         if rhs_may and n not in may_out:
                             may_out.add(n)
                             witnesses.setdefault(
@@ -466,7 +433,6 @@ def find_dangling_escapes(solution: MayAliasSolution) -> Iterator[Finding]:
                     continue
                 if not _escaping_holder(ctx, proc, holder):
                     continue
-                definite = _must_query(solution, graph.exit, dying, holder)
                 yield Finding(
                     rule=RULE_DANGLING,
                     severity="error",
@@ -479,7 +445,6 @@ def find_dangling_escapes(solution: MayAliasSolution) -> Iterator[Finding]:
                     span=graph.exit.span,
                     name=dying,
                     witnesses=(str(pair),),
-                    confidence="definite" if definite else "possible",
                 )
 
 
@@ -501,14 +466,11 @@ def find_dead_stores(solution: MayAliasSolution) -> Iterator[Finding]:
         if _is_temp(ctx, target):
             continue
         # A store is *definitely* dead when its target is unambiguous:
-        # a plain (deref-free, untruncated) strong write, or a deref
-        # whose storage the must pass pins down.  Weak or unresolved
-        # writes may hit storage whose liveness the may-set over-kills.
+        # a plain (deref-free, untruncated) strong write.  Weak writes
+        # and writes through a pointer may hit storage whose liveness
+        # the may-set over-kills.
         weak = isinstance(node.stmt, PtrAssign) and node.stmt.weak
-        definite = not weak and (
-            (DEREF not in target.selectors and not target.truncated)
-            or _must_resolve(solution, node, target) is not None
-        )
+        definite = not weak and DEREF not in target.selectors and not target.truncated
         yield Finding(
             rule=RULE_DEAD_STORE,
             severity="note",
@@ -559,9 +521,6 @@ def find_statement_conflicts(
                 found.written, found.accessed
             ):
                 continue  # alias-free dependence; not alias news
-            definite = _must_query(
-                solution, node, found.written, found.accessed
-            )
             yield Finding(
                 rule=RULE_CONFLICT,
                 severity="note",
@@ -575,7 +534,6 @@ def find_statement_conflicts(
                 span=succ.span,
                 name=found.written,
                 witnesses=(str(found),),
-                confidence="definite" if definite else "possible",
             )
             emitted += 1
             if emitted >= max_findings:

@@ -65,7 +65,9 @@ def make_provider(
         from ..baselines.weihl import weihl_aliases
         from ..clients.adapters import WeihlBackedSolution
 
-        return WeihlBackedSolution(analyzed, icfg, weihl_aliases(analyzed, icfg), k=k)
+        return WeihlBackedSolution(
+            analyzed, icfg, weihl_aliases(analyzed, icfg, k=k), k=k
+        )
     if name == "andersen":
         from ..baselines.andersen import andersen_aliases
         from ..clients.adapters import AndersenBackedSolution
@@ -123,7 +125,6 @@ def run_lint(
     filename: str = "<input>",
     solution=None,
     cache=None,
-    must: bool = False,
 ) -> LintReport:
     """Lint one program.
 
@@ -135,10 +136,6 @@ def run_lint(
     A pre-built ``solution`` (anything with the MayAliasSolution query
     surface) short-circuits provider construction; ``cache`` routes
     the primary provider's solve through the result cache.
-    ``must=True`` additionally runs the must-alias under-approximation
-    and pairs it with the may provider in an
-    :class:`~repro.must.interval.IntervalSolution`, letting detectors
-    upgrade findings from "possible" to "definite".
     """
     if isinstance(source_or_input, LintInput):
         lint_input = source_or_input
@@ -151,22 +148,12 @@ def run_lint(
         solution = make_provider(
             provider, analyzed, icfg, k=k, max_facts=max_facts, cache=cache
         )
-    if must and getattr(solution, "must_alias", None) is None:
-        from ..must import IntervalSolution, solve_must_with_cache
-
-        must_solution, _status = solve_must_with_cache(
-            analyzed, icfg, k=k, cache=cache
-        )
-        solution = IntervalSolution(solution, must_solution)
     analysis_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     findings = run_detectors(solution, provider)
     report = LintReport(
-        findings=findings,
-        provider=provider,
-        must_enabled=must or getattr(solution, "must_alias", None) is not None,
-        analysis_seconds=analysis_seconds,
+        findings=findings, provider=provider, analysis_seconds=analysis_seconds
     )
     if compare_with is not None and compare_with != provider:
         other = make_provider(compare_with, analyzed, icfg, k=k, max_facts=max_facts)
@@ -223,30 +210,28 @@ def self_check(sources: Optional[Iterable[tuple[str, str]]] = None) -> list[str]
     problems: list[str] = []
     if sources is None:
         sources = sorted(ALL_FIXTURES.items())
-    rows = [(provider, False) for provider in PROVIDERS] + [("lr", True)]
     for name, source in sources:
-        for provider, must in rows:
-            tag = f"{provider}+must" if must else provider
+        for provider in PROVIDERS:
             try:
-                report = run_lint(
-                    source, provider=provider, filename=f"<{name}>", must=must
-                )
+                report = run_lint(source, provider=provider, filename=f"<{name}>")
             except Exception as exc:  # pragma: no cover - defensive
-                problems.append(f"{name}/{tag}: lint crashed: {exc!r}")
+                problems.append(f"{name}/{provider}: lint crashed: {exc!r}")
                 continue
             for finding in report.findings:
                 if finding.rule not in RULE_CATALOG:
-                    problems.append(f"{name}/{tag}: unknown rule {finding.rule}")
+                    problems.append(
+                        f"{name}/{provider}: unknown rule {finding.rule}"
+                    )
                 if finding.severity not in SEVERITIES:
                     problems.append(
-                        f"{name}/{tag}: bad severity {finding.severity}"
+                        f"{name}/{provider}: bad severity {finding.severity}"
                     )
                 if finding.confidence not in CONFIDENCES:
                     problems.append(
-                        f"{name}/{tag}: bad confidence {finding.confidence}"
+                        f"{name}/{provider}: bad confidence {finding.confidence}"
                     )
             doc = to_sarif(report, filename=f"<{name}>")
             problems.extend(
-                f"{name}/{tag}: sarif: {issue}" for issue in validate_sarif(doc)
+                f"{name}/{provider}: sarif: {issue}" for issue in validate_sarif(doc)
             )
     return problems

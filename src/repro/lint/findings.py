@@ -29,10 +29,12 @@ RULE_CONFLICT = "stmt-conflict"
 SEVERITIES = ("error", "warning", "note")
 
 #: Confidence levels, ordered strongest-first.  "definite" means the
-#: defect occurs on *every* path reaching the flagged node whenever the
-#: involved names denote storage — typically because the witness pair
-#: is must-alias (see the [must, may] interval in docs/LINT.md).
-#: "possible" means the may-analysis cannot rule it out.
+#: defect occurs on *every* path reaching the flagged node, shown by the
+#: detector's own all-paths reasoning: the intersection-merged sets of
+#: uninit-pointer-use and null-deref, or a dead store's unambiguous
+#: target (see docs/LINT.md).  dangling-escape and stmt-conflict rest
+#: on may-alias pairs alone and are always "possible": the
+#: may-analysis cannot rule them out.
 CONFIDENCES = ("definite", "possible")
 
 
@@ -107,8 +109,8 @@ class Finding:
     #: Flow-sensitivity provenance: True / False when a comparison
     #: provider was consulted, None when it was not.
     also_weihl: Optional[bool] = None
-    #: "definite" when the defect is shown to occur on every path
-    #: (must-alias witness or all-paths dataflow), else "possible".
+    #: "definite" when the detector's all-paths reasoning shows the
+    #: defect on every path, else "possible".
     confidence: str = "possible"
 
     @property
@@ -193,8 +195,6 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     provider: str = "lr"
     compared_with: Optional[str] = None
-    #: Was the provider wrapped in a must-alias IntervalSolution?
-    must_enabled: bool = False
     analysis_seconds: float = 0.0
     lint_seconds: float = 0.0
     #: Findings per rule from the comparison provider (for the

@@ -33,12 +33,6 @@ def render_text(report: LintReport, show_witnesses: bool = True) -> str:
     lines.append("")
     if total:
         lines.append(f"{total} finding{'s' if total != 1 else ''} ({summary})")
-        if report.must_enabled:
-            definite = report.definite_count()
-            lines.append(
-                f"{definite} definite (every-path) finding"
-                f"{'s' if definite != 1 else ''} via must-alias"
-            )
     else:
         lines.append("no findings")
     if report.compared_with:
@@ -63,7 +57,6 @@ def stats_dict(report: LintReport) -> dict:
         },
         "severities": _severity_counts(report),
         "confidences": report.confidence_counts(),
-        "must_enabled": report.must_enabled,
         "analysis_seconds": report.analysis_seconds,
         "lint_seconds": report.lint_seconds,
     }

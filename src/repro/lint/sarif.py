@@ -112,7 +112,6 @@ def to_sarif(report: LintReport, filename: str = "<input>") -> dict:
                 "properties": {
                     "provider": report.provider,
                     "comparedWith": report.compared_with or "",
-                    "mustEnabled": report.must_enabled,
                     "definiteFindings": report.definite_count(),
                     "analysisSeconds": report.analysis_seconds,
                     "lintSeconds": report.lint_seconds,

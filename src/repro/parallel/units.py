@@ -51,12 +51,11 @@ _SOLUTION_FLAGS = ("json", "stats_json", "per_node", "program_aliases", "weihl")
 
 def analyze_file_unit(payload: dict) -> dict:
     """Analyze one MiniC source: parse and ICFG build (timed), ``--dot``,
-    the cached solve, ``--weihl``, ``--must`` on the same cache handle
-    and ``--json``.  The result carries the DOT text, the stderr lines
-    and the rendered text — the full report for a lone file, one
-    summary line in a sweep.  ``rendered`` is None when nothing follows
-    the graph: a plain ``--dot`` run, or a ``--json`` file that could
-    not be written (``status`` 2)."""
+    the cached solve, ``--weihl`` and ``--json``.  The result carries
+    the DOT text, the stderr lines and the rendered text — the full
+    report for a lone file, one summary line in a sweep.  ``rendered``
+    is None when nothing follows the graph: a plain ``--dot`` run, or a
+    ``--json`` file that could not be written (``status`` 2)."""
     from ..cache.solve import solve_with_cache
 
     path = payload["path"]
@@ -97,14 +96,6 @@ def analyze_file_unit(payload: dict) -> dict:
     except (MiniCError, RuntimeError) as err:
         return _rejected(payload, err)
 
-    if payload["must"]:
-        from ..must import IntervalSolution, solve_must_with_cache
-
-        must_solution, _status = solve_must_with_cache(
-            analyzed, icfg, k=payload["k"], cache=cache
-        )
-        solution = IntervalSolution(solution, must_solution)
-
     messages.extend(str(diag) for diag in analyzed.diagnostics)
     if not solution.complete:
         label = f"{path}: " if payload["sweep"] else ""
@@ -141,20 +132,13 @@ def analyze_file_unit(payload: dict) -> dict:
 def _summary_line(path: str, stats: dict, cache_status: str) -> str:
     """One sweep line: the solution aggregates of ``repro-stats/1``."""
     solution = stats["solution"]
-    interval = stats.get("interval")
-    must_note = (
-        f" must={interval['must_node_pairs']} width={interval['width']}"
-        if interval
-        else ""
-    )
     cache_note = f"  [cache {cache_status}]" if cache_status != "off" else ""
     return (
         f"{path}: nodes={solution['icfg_nodes']} "
         f"facts={solution['may_hold_facts']} "
         f"aliases={solution['program_alias_count']} "
         f"%YES={solution['percent_yes']:.1f} "
-        f"time={solution['analysis_seconds']:.3f}s"
-        f"{must_note}{cache_note}"
+        f"time={solution['analysis_seconds']:.3f}s{cache_note}"
     )
 
 
@@ -174,18 +158,6 @@ def _report(
         f"worklist:         {engine['worklist_pops']} pops / "
         f"{engine['worklist_pushes']} pushes / {engine['dedup_hits']} dedup hits",
     ]
-    if payload["must"]:
-        interval = stats["interval"]
-        must_total = interval["must_node_pairs"]
-        lines.append(
-            f"must pairs:       {must_total} "
-            f"(classes={solution.must.total_classes()}, "
-            f"time={solution.must.analysis_seconds:.3f}s)"
-        )
-        lines.append(
-            f"interval width:   {interval['width']} "
-            f"(may {interval['may_node_pairs']} - must {must_total})"
-        )
     if weihl is not None:
         ratio = weihl.alias_count / max(1, totals["program_alias_count"])
         lines.append(f"Weihl aliases:    {weihl.alias_count}  ({ratio:.1f}x ours)")
@@ -198,15 +170,9 @@ def _report(
         lines.append("\nper-node may-aliases:")
         for node in icfg.nodes:
             pairs = sorted(str(p) for p in solution.may_alias(node))
-            must_pairs = (
-                sorted(str(p) for p in solution.must_pairs(node))
-                if payload["must"]
-                else []
-            )
-            if pairs or must_pairs:
+            if pairs:
                 lines.append(f"  n{node.nid} [{node.label()}]:")
                 lines.extend(f"    {pair}" for pair in pairs)
-                lines.extend(f"    must: {pair}" for pair in must_pairs)
     return "\n".join(lines)
 
 
@@ -227,7 +193,6 @@ def lint_file_unit(payload: dict) -> dict:
             max_facts=payload["max_facts"],
             filename=path,
             cache=cache,
-            must=payload["must"] or payload["fail_on"] == "definite",
         )
     except (MiniCError, RuntimeError) as err:
         return _rejected(payload, err)

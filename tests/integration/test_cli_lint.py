@@ -16,6 +16,11 @@ pytestmark = pytest.mark.lint
 
 EXAMPLE = str(pathlib.Path(__file__).resolve().parents[2] / "examples" / "figure1.c")
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+NULL_STORE = str(
+    pathlib.Path(__file__).resolve().parents[1]
+    / "corpus"
+    / "null-store-through-alias.c"
+)
 
 BUGGY = (
     "int *mk() { int local; int *p; p = &local; return p; }"
@@ -59,6 +64,11 @@ class TestLintCli:
     def test_clean_program_is_zero(self, clean_file, capsys):
         assert main(["lint", clean_file]) == 0
         assert "no findings" in capsys.readouterr().out
+
+    def test_null_store_through_alias_is_a_warning(self, capsys):
+        # A warning is below the default --fail-on error threshold.
+        assert main(["lint", NULL_STORE]) == 0
+        assert "warning: [null-deref]" in capsys.readouterr().out
 
     def test_sarif_output_is_valid(self, capsys):
         assert main(["lint", EXAMPLE, "--format", "sarif", "--fail-on", "never"]) == 0
@@ -139,3 +149,30 @@ class TestLintCli:
             documents.append(document)
         assert documents[0]["runs"][0]["results"]
         assert documents[0] == documents[1]
+
+
+class TestFailOnDefinite:
+    def test_definite_findings_fail(self):
+        # The dead store to x is definite.
+        assert (
+            main(["lint", NULL_STORE, "--fail-on", "definite"]) == EXIT_LINT_FINDINGS
+        )
+
+    def test_clean_program_passes(self, clean_file):
+        assert main(["lint", clean_file, "--fail-on", "definite"]) == 0
+
+    def test_possible_only_report_passes(self, tmp_path):
+        # One branch assigns, the other doesn't: the deref is only
+        # possibly uninitialized, so no definite findings exist and
+        # --fail-on definite comes back clean while the default
+        # severity policy still fails.
+        path = tmp_path / "maybe.c"
+        path.write_text(
+            "int g; int main() { int *p; int x;"
+            " if (g) { p = &x; } x = *p; return x; }"
+        )
+        assert (
+            main(["lint", str(path), "--fail-on", "warning"])
+            == EXIT_LINT_FINDINGS
+        )
+        assert main(["lint", str(path), "--fail-on", "definite"]) == 0

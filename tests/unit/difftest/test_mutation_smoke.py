@@ -46,9 +46,9 @@ def test_mutation_caught_shrunk_and_persisted(broken_intro, tmp_path):
     checks = [c.name for c in failure.violating_checks]
     assert CHECK_DYNAMIC_IN_LR in checks
 
-    # The must_subset_lr edge also fires on this mutation (dropping may
-    # facts strands must pairs outside the may solution), so shrink on
-    # the dynamic check alone to keep the replay assertion sharp.
+    # The exact_in_lr edge also fires on this mutation (the exact
+    # oracle enumerates the pairs the engine dropped), so shrink on the
+    # dynamic check alone to keep the replay assertion sharp.
     shrunk = shrink_source(
         failure.source, violation_predicate(FAST, [CHECK_DYNAMIC_IN_LR])
     )

@@ -58,6 +58,17 @@ class TestNullDeref:
         (finding,) = report.by_rule(RULE_NULL_DEREF)
         assert finding.severity == "warning"
 
+    def test_null_stored_through_alias_is_possible(self):
+        # h points to p, so *h = 0 nulls p; the detector sees that store
+        # only through the may-alias (*h, p), so p is possibly null.
+        report, _ = rules(
+            "int x; int *p; int **h;"
+            " void main(void) { h = &p; p = &x; *h = 0; x = *p; }"
+        )
+        (finding,) = report.by_rule(RULE_NULL_DEREF)
+        assert finding.severity == "warning"
+        assert finding.confidence == "possible"
+
     def test_flow_sensitive_kill_avoids_weihl_false_positive(self):
         # At `*pp = NULL` the flow-sensitive solution knows pp points
         # only at q; the flow-insensitive one smears the write over p

@@ -68,6 +68,16 @@ def test_prebuilt_solution_short_circuits_provider():
     ]
 
 
+def test_weihl_provider_closes_at_the_requested_k():
+    from repro.baselines.weihl import weihl_aliases
+
+    lint_input = LintInput.from_source(ALL_FIXTURES["expr_tree"])
+    analyzed, icfg = lint_input.analyzed, lint_input.icfg
+    provider = make_provider("weihl", analyzed, icfg, k=1)
+    expected = weihl_aliases(analyzed, icfg, k=1).aliases
+    assert provider.may_alias(icfg.nodes[0]) == set(expected)
+
+
 def test_comparison_tags_only_sensitive_rules():
     source = (
         "int main() { int *p; int x; p = NULL; x = *p + *p; return x; }"

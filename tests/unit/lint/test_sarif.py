@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from repro.lint import run_lint, render_sarif, to_sarif, validate_sarif
+from repro.lint import CONFIDENCES, run_lint, render_sarif, to_sarif, validate_sarif
 from repro.lint.findings import RULE_CATALOG
 from repro.lint.sarif import SARIF_SCHEMA_URI, SARIF_VERSION, TOOL_NAME
 
@@ -56,6 +56,13 @@ class TestEmission:
             if "alsoFlaggedByWeihl" in r["properties"]
         ]
         assert tagged, "comparison run must tag provider-sensitive results"
+
+    def test_confidence_lands_in_properties(self, figure1_sarif):
+        report, doc = figure1_sarif
+        run = doc["runs"][0]
+        assert run["properties"]["definiteFindings"] == report.definite_count()
+        for result in run["results"]:
+            assert result["properties"]["confidence"] in CONFIDENCES
 
     def test_render_sarif_round_trips(self, figure1_sarif):
         report, _ = figure1_sarif
