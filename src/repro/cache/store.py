@@ -184,8 +184,10 @@ class SolutionCache:
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
         try:
+            # ``dumps`` runs the C encoder; ``json.dump`` streams the
+            # same bytes through the pure-Python one, a write per token.
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, sort_keys=True)
+                handle.write(json.dumps(envelope, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:

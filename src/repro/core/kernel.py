@@ -72,7 +72,7 @@ import time
 from array import array
 from collections import deque
 from itertools import compress
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ..frontend.semantics import AnalyzedProgram
 from ..icfg.graph import ICFG
@@ -122,6 +122,8 @@ def encode_int_column(values) -> dict:
     """One id column → ``{"itemsize", "b64"}`` (signed ints, native byte
     order; the document records width and order so any reader can
     reconstruct)."""
+    if isinstance(values, array):
+        values = values.tolist()  # faster than converting item by item
     packed = array(_PACK_TYPECODE, values)
     return {
         "itemsize": packed.itemsize,
@@ -151,6 +153,57 @@ def decode_int_column(column: dict, byteorder: str) -> array:
             for i in range(0, len(raw), step)
         ),
     )
+
+
+class FactColumns(NamedTuple):
+    """A kernel store's facts as columns, with the pair and assumption
+    tables as objects: what :meth:`KernelAnalysis.absorb` replays.  A
+    live kernel lends its own (:meth:`KernelStore.columns`); a packed
+    payload is decoded into one by :func:`decode_packed`."""
+
+    pairs: Sequence[AliasPair]
+    aas: Sequence[Assumption]
+    entry_aa: Sequence[int]
+    entry_pair: Sequence[int]
+    fact_node: Sequence[int]
+    fact_entry: Sequence[int]
+    taint: bytes | bytearray
+
+
+def decode_packed(packed: dict) -> FactColumns:
+    """The columns of a :meth:`KernelStore.packed_json` payload."""
+    if packed.get("layout") != PACKED_LAYOUT:
+        raise ValueError(f"unknown packed layout {packed.get('layout')!r}")
+    byteorder = packed["byteorder"]
+    names = [
+        ObjectName(base, tuple(selectors), bool(truncated))
+        for base, selectors, truncated in packed["names"]
+    ]
+    pairs = [
+        AliasPair(names[first], names[second])
+        for first, second in zip(
+            decode_int_column(packed["pair_first"], byteorder),
+            decode_int_column(packed["pair_second"], byteorder),
+        )
+    ]
+    columns = FactColumns(
+        pairs=pairs,
+        aas=[tuple(pairs[p] for p in pair_ids) for pair_ids in packed["aas"]],
+        entry_aa=decode_int_column(packed["entry_aa"], byteorder),
+        entry_pair=decode_int_column(packed["entry_pair"], byteorder),
+        fact_node=decode_int_column(packed["fact_node"], byteorder),
+        fact_entry=decode_int_column(packed["fact_entry"], byteorder),
+        taint=base64.b64decode(packed["taint"]),
+    )
+    count = int(packed["count"])
+    if not (
+        len(columns.fact_node)
+        == len(columns.fact_entry)
+        == len(columns.taint)
+        == count
+    ):
+        raise ValueError("packed fact columns disagree on length")
+    return columns
 
 
 def _slot_taint(slot: list[int], taint: bytearray) -> int:
@@ -360,16 +413,32 @@ class KernelStore:
     def at_node_with_base(
         self, nid: int, base: str
     ) -> Iterator[tuple[Assumption, AliasPair]]:
-        return self._decode_bucket(self._kernel._by_node_base[nid].get(base))
+        """Filters ``_by_node``: the base index is kept only at the
+        nodes the transfer rule reads it at."""
+        k = self._kernel
+        names, entry_pair = k._names, k._entry_pair
+        first, second = k._pair_first, k._pair_second
+        return self._decode_bucket(
+            [
+                eid
+                for eid in k._by_node[nid]
+                if names[first[entry_pair[eid]]].base == base
+                or names[second[entry_pair[eid]]].base == base
+            ]
+        )
 
     def at_node_assuming(
         self, nid: int, assumed: AliasPair
     ) -> Iterator[tuple[Assumption, AliasPair]]:
+        """Filters ``_by_node``, like :meth:`at_node_with_base`."""
         k = self._kernel
         pid = k._pair_ids.get(assumed)
         if pid is None:
             return iter(())
-        return self._decode_bucket(k._by_node_assumed[nid].get(pid))
+        aa_pairs, entry_aa = k._aa_index_pairs, k._entry_aa
+        return self._decode_bucket(
+            [eid for eid in k._by_node[nid] if pid in aa_pairs[entry_aa[eid]]]
+        )
 
     def __len__(self) -> int:
         return len(self._kernel._fact_node)
@@ -424,10 +493,26 @@ class KernelStore:
             )
         return out
 
-    def packed_json(self) -> dict:
+    def columns(self) -> FactColumns:
+        """The kernel's own fact columns, not copies: absorb them into
+        another kernel, never into this one."""
+        k = self._kernel
+        return FactColumns(
+            k._pairs,
+            k._aas,
+            k._entry_aa,
+            k._entry_pair,
+            k._fact_node,
+            k._fact_entry,
+            k._taint,
+        )
+
+    def packed_json(self, fact_node: Optional[Sequence[int]] = None) -> dict:
         """Columnar encoding of the interning tables and fact columns —
         the ``kernel-packed/1`` payload of a version-3 solution document
-        (what the result cache persists).
+        (what the result cache persists).  ``fact_node`` replaces the
+        node column; the summary engine's portable state stores stable
+        node tokens there.
 
         The hot data — one (node, entry) row per fact plus the
         entry/pair id tables — ships as base64 int columns copied
@@ -450,7 +535,9 @@ class KernelStore:
             "aas": [list(pair_ids) for pair_ids in k._aa_pairs],
             "entry_aa": encode_int_column(k._entry_aa),
             "entry_pair": encode_int_column(k._entry_pair),
-            "fact_node": encode_int_column(k._fact_node),
+            "fact_node": encode_int_column(
+                k._fact_node if fact_node is None else fact_node
+            ),
             "fact_entry": encode_int_column(k._fact_entry),
             "taint": base64.b64encode(bytes(k._taint)).decode("ascii"),
         }
@@ -596,12 +683,15 @@ class KernelAnalysis:
         self._by_node_name: list[dict[int, list[int]]] = [
             {} for _ in range(n_nodes)
         ]
-        self._by_node_base: list[dict[str, list[int]]] = [
-            {} for _ in range(n_nodes)
-        ]
-        self._by_node_assumed: list[dict[int, list[int]]] = [
-            {} for _ in range(n_nodes)
-        ]
+        # One rule reads each of these two, so they are kept only at the
+        # nodes where it reads them (chosen with the dispatch tables
+        # below) and are None elsewhere.
+        self._by_node_base: list[Optional[dict[str, list[int]]]] = [
+            None
+        ] * n_nodes
+        self._by_node_assumed: list[Optional[dict[int, list[int]]]] = [
+            None
+        ] * n_nodes
 
         # -- memo tables ----------------------------------------------------
         # (a id << _SHIFT | b id) -> emission plan (ordered arguments:
@@ -676,6 +766,18 @@ class KernelAnalysis:
                 (succ.nid, self._assign_tables.get(succ.nid))
                 for succ in node.succs
             )
+        # Case 3.iii reads the base index at the node it pops from, when
+        # that node feeds an assignment whose RHS is not opaque.  The
+        # call-side return join reads the assumed-pair index at the exit
+        # of each owned call site's callee.
+        for nid, succs in enumerate(self._succs):
+            if self._node_tag[nid] == 0 and any(
+                table is not None and not table.rhs_opaque
+                for _succ, table in succs
+            ):
+                self._by_node_base[nid] = {}
+        for ct in self._call_tables.values():
+            self._by_node_assumed[ct.exit_nid] = {}
 
         self.store = KernelStore(self)
 
@@ -773,23 +875,23 @@ class KernelAnalysis:
                 else:
                     bucket.append(eid)
             by_base = self._by_node_base[nid]
-            first_base = self._names[first].base
-            second_base = self._names[second].base
-            bucket = by_base.get(first_base)
-            if bucket is None:
-                by_base[first_base] = [eid]
-            else:
-                bucket.append(eid)
-            if second_base != first_base:
-                bucket = by_base.get(second_base)
+            if by_base is not None:
+                first_base = self._names[first].base
+                second_base = self._names[second].base
+                bucket = by_base.get(first_base)
                 if bucket is None:
-                    by_base[second_base] = [eid]
+                    by_base[first_base] = [eid]
                 else:
                     bucket.append(eid)
-            assumed = self._aa_index_pairs[self._entry_aa[eid]]
-            if assumed:
-                by_assumed = self._by_node_assumed[nid]
-                for ap in assumed:
+                if second_base != first_base:
+                    bucket = by_base.get(second_base)
+                    if bucket is None:
+                        by_base[second_base] = [eid]
+                    else:
+                        bucket.append(eid)
+            by_assumed = self._by_node_assumed[nid]
+            if by_assumed is not None:
+                for ap in self._aa_index_pairs[self._entry_aa[eid]]:
                     bucket = by_assumed.get(ap)
                     if bucket is None:
                         by_assumed[ap] = [eid]
@@ -941,54 +1043,31 @@ class KernelAnalysis:
         query-only store, nothing left to drain."""
         if self._fact_node:
             raise ValueError("load_packed requires a fresh kernel")
-        self.absorb_packed(packed)
+        self.absorb(decode_packed(packed))
         self.store.clear_worklist()
         return self.store
 
-    def absorb_packed(
-        self, packed: dict, keep_nids: Optional[frozenset[int]] = None
+    def absorb(
+        self, columns: FactColumns, keep_nids: Optional[frozenset[int]] = None
     ) -> None:
-        """Replay a :meth:`KernelStore.packed_json` payload's fact rows
-        into this kernel through :meth:`_make_true_entry`.
+        """Replay another store's fact rows into this kernel through
+        :meth:`_make_true_entry`.
 
-        This is :meth:`load_packed` without the freshness requirement or
-        the final worklist reset: the summary engine uses it both to
-        restore a per-procedure kernel between drains (facts replay in
-        stored order, so every per-node index — and therefore all future
-        behavior — matches the never-packed kernel exactly) and to merge
-        several per-procedure stores into one whole-program store
-        (``keep_nids`` filters each payload to the procedure's own nodes,
-        dropping its mirror copies of other procedures' facts).  Counter
-        side effects are the caller's problem: replay bumps
+        This is :meth:`load_packed` without the decoding, the freshness
+        requirement or the final worklist reset: the summary engine uses
+        it both to restore a per-procedure kernel between drains (facts
+        replay in stored order, so every per-node index — and therefore
+        all future behavior — matches the never-packed kernel exactly)
+        and to merge several per-procedure stores into one whole-program
+        store (``keep_nids`` filters each store to the procedure's own
+        nodes, dropping its mirror copies of other procedures' facts).
+        Counter side effects are the caller's problem: replay bumps
         ``stats.facts``/pushes like a live run would, so a restore that
         wants continuous-run counters must snapshot and reinstate them."""
-        if packed.get("layout") != PACKED_LAYOUT:
-            raise ValueError(f"unknown packed layout {packed.get('layout')!r}")
-        byteorder = packed["byteorder"]
-        names = [
-            ObjectName(base, tuple(selectors), bool(truncated))
-            for base, selectors, truncated in packed["names"]
-        ]
-        pair_first = decode_int_column(packed["pair_first"], byteorder)
-        pair_second = decode_int_column(packed["pair_second"], byteorder)
-        pair_map = array(
-            "q",
-            (
-                self._pair_id(AliasPair(names[first], names[second]))
-                for first, second in zip(pair_first, pair_second)
-            ),
-        )
-        aa_map = array(
-            "q",
-            (
-                self._aa_id(tuple(self._pairs[pair_map[p]] for p in pair_ids))
-                for pair_ids in packed["aas"]
-            ),
-        )
-        entry_aa = decode_int_column(packed["entry_aa"], byteorder)
-        entry_pair = decode_int_column(packed["entry_pair"], byteorder)
+        pair_map = array("q", map(self._pair_id, columns.pairs))
+        aa_map = array("q", map(self._aa_id, columns.aas))
         entry_map = array("q")
-        for aa_idx, pair_idx in zip(entry_aa, entry_pair):
+        for aa_idx, pair_idx in zip(columns.entry_aa, columns.entry_pair):
             ekey = (aa_map[aa_idx] << _SHIFT) | pair_map[pair_idx]
             eid = self._entry_ids.get(ekey)
             if eid is None:
@@ -997,18 +1076,15 @@ class KernelAnalysis:
                 self._entry_aa.append(aa_map[aa_idx])
                 self._entry_pair.append(pair_map[pair_idx])
             entry_map.append(eid)
-        fact_node = decode_int_column(packed["fact_node"], byteorder)
-        fact_entry = decode_int_column(packed["fact_entry"], byteorder)
-        taint = base64.b64decode(packed["taint"])
-        count = int(packed["count"])
-        if not (len(fact_node) == len(fact_entry) == len(taint) == count):
-            raise ValueError("packed fact columns disagree on length")
+        fact_node = columns.fact_node
+        fact_entry = columns.fact_entry
+        taint = columns.taint
         make_true_entry = self._make_true_entry
         if keep_nids is None:
-            for i in range(count):
+            for i in range(len(fact_node)):
                 make_true_entry(fact_node[i], entry_map[fact_entry[i]], taint[i])
         else:
-            for i in range(count):
+            for i in range(len(fact_node)):
                 nid = fact_node[i]
                 if nid in keep_nids:
                     make_true_entry(nid, entry_map[fact_entry[i]], taint[i])

@@ -40,9 +40,9 @@ procedure order — so solutions and per-procedure counters are
 byte-identical for any job count.  Worker transport is stateless
 (packed state out, packed state + harvest back), and a packed/restored
 kernel is behaviorally identical to one that never left the process:
-``load_packed`` replays facts in insertion order (rebuilding every
-per-node index), ``replay_registrations`` rebuilds the bind registry
-in live-run order, and counters are reinstated from the snapshot.
+``absorb`` replays facts in insertion order (rebuilding every per-node
+index), ``replay_registrations`` rebuilds the bind registry in
+live-run order, and counters are reinstated from the snapshot.
 
 Taint
 =====
@@ -68,12 +68,14 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from ..core.kernel import (
     KernelAnalysis,
     KernelStore,
     decode_int_column,
+    decode_packed,
     encode_int_column,
 )
 from ..core.metrics import (
@@ -104,8 +106,43 @@ from .envelope import (
 )
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: Canonical JSON text: sorted keys, no spaces.
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_by_text = itemgetter(0)
+
+
+def _exit_key(entry_text: str) -> str:
+    """An exit entry's canonical text without its clean bit — one key
+    per (assumption, pair) of the exit table."""
+    return entry_text[: entry_text.rindex(",")]
+
+
+def _with_texts(harvest: dict) -> dict:
+    """A harvest whose seed pairs and exit entries each come paired with
+    their canonical text, ``(text, item)`` — the form the barrier sorts
+    and dedups by.  :meth:`ProcSolver.harvest_with_texts` builds it
+    straight from a live kernel; this encodes a harvest that arrived as
+    JSON (a cache hit)."""
+    return {
+        "seeds": {
+            callee: [(_canon(pj), pj) for pj in pairs]
+            for callee, pairs in harvest["seeds"].items()
+        },
+        "exits": [(_canon(entry), entry) for entry in harvest["exits"]],
+    }
+
+
+def _without_texts(harvest: dict) -> dict:
+    """The plain harvest (what the cache stores) of a :func:`_with_texts`
+    one."""
+    return {
+        "seeds": {
+            callee: [pj for _text, pj in items]
+            for callee, items in harvest["seeds"].items()
+        },
+        "exits": [entry for _text, entry in harvest["exits"]],
+    }
 
 
 #: Counter fields snapshotted into packed state so a restored kernel
@@ -197,6 +234,12 @@ class ProcSolver:
         # None before the cold round reaches this procedure.
         self.kernel: Optional[KernelAnalysis] = None
         self.state: Optional[dict] = None
+        # Per pair id of ``_json_kernel``: its canonical text and JSON
+        # form, and whether the exit table keeps it.  Ids are per
+        # kernel, so a new kernel starts these over.
+        self._json_kernel: Optional[KernelAnalysis] = None
+        self._pair_json: dict[int, tuple[str, list]] = {}
+        self._exit_keeps: dict[int, bool] = {}
         # Running digest of every injected delta, in order — the
         # per-drain half of the cache key.
         self.inputs_digest = hashlib.sha256(b"init").hexdigest()
@@ -225,7 +268,7 @@ class ProcSolver:
             return
         assert self.state is not None
         kernel = self._new_kernel()
-        kernel.absorb_packed(self.state["packed"])
+        kernel.absorb(decode_packed(self.state["packed"]))
         kernel.store.clear_worklist()
         kernel.replay_registrations()
         _restore_counters(kernel, self.state["stats"])
@@ -332,58 +375,94 @@ class ProcSolver:
           keeps mirrors small and cache keys stable under edits that
           touch purely local aliasing.
         """
+        return _without_texts(self.harvest_with_texts())
+
+    def harvest_with_texts(self) -> dict:
+        """:meth:`harvest` with each item paired with its canonical text
+        (see :func:`_with_texts`), read off the kernel's id columns: one
+        JSON fragment per pair id, and taint by fact id."""
         kernel = self.kernel
         assert kernel is not None
-        store = kernel.store
-        ctx = kernel.ctx
+        if self._json_kernel is not kernel:
+            self._json_kernel = kernel
+            self._pair_json = {}
+            self._exit_keeps = {}
+        by_node = kernel._by_node
+        entry_pair = kernel._entry_pair
+        fragment = self._fragment
         seeds: dict[str, list] = {}
         for callee in self.callees:
-            entry_nid = self.icfg.entry_of(callee).nid
-            pairs = [
-                pair_to_json(pair) for _aa, pair in store.at_node(entry_nid)
+            items = [
+                fragment(entry_pair[eid])
+                for eid in by_node[self.icfg.entry_of(callee).nid]
             ]
-            seeds[callee] = sorted(pairs, key=_canon)
+            items.sort(key=_by_text)
+            seeds[callee] = items
+        entry_aa = kernel._entry_aa
+        aa_pairs = kernel._aa_pairs
+        keeps = self._exit_keeps
+        exit_nid = self.exit_nid
         exits = []
-        for assumption, pair in store.at_node(self.exit_nid):
-            if not all(
-                is_nonvisible_based(name)
-                or ctx.survives_return(name, self.proc)
-                for name in pair
-            ):
+        for eid in by_node[exit_nid]:
+            pid = entry_pair[eid]
+            keep = keeps.get(pid)
+            if keep is None:
+                keep = keeps[pid] = self._survives_return(pid)
+            if not keep:
                 continue
-            exits.append(
-                [
-                    [pair_to_json(p) for p in assumption],
-                    pair_to_json(pair),
-                    bool(store.taint_of(self.exit_nid, assumption, pair)),
-                ]
-            )
-        exits.sort(key=_canon)
+            pair_text, pair_json = fragment(pid)
+            assumed = [fragment(p) for p in aa_pairs[entry_aa[eid]]]
+            clean = bool(kernel._taint_entry_at(exit_nid, eid))
+            aa_text = ",".join([t for t, _j in assumed])
+            text = f"[[{aa_text}],{pair_text},{'true' if clean else 'false'}]"
+            exits.append((text, [[j for _t, j in assumed], pair_json, clean]))
+        exits.sort(key=_by_text)
         return {"seeds": seeds, "exits": exits}
+
+    def _fragment(self, pid: int) -> tuple[str, list]:
+        """Pair id -> (canonical text, JSON form), memoized per kernel."""
+        out = self._pair_json.get(pid)
+        if out is None:
+            assert self.kernel is not None
+            pair_json = pair_to_json(self.kernel._pairs[pid])
+            out = self._pair_json[pid] = (_canon(pair_json), pair_json)
+        return out
+
+    def _survives_return(self, pid: int) -> bool:
+        assert self.kernel is not None
+        ctx = self.kernel.ctx
+        return all(
+            is_nonvisible_based(name) or ctx.survives_return(name, self.proc)
+            for name in self.kernel._pairs[pid]
+        )
 
     # -- cache-portable state ----------------------------------------------
 
     def state_portable(self) -> dict:
         """Packed state with node ids replaced by stable tokens (see
         ``_token_of``) so cache entries survive edits to *other*
-        procedures, which renumber every node."""
-        state = self.state if self.state is not None else self.pack()
-        packed = dict(state["packed"])
-        byteorder = packed["byteorder"]
-        fact_node = decode_int_column(packed["fact_node"], byteorder)
-        tokens: list[list] = []
-        token_ids: dict[int, int] = {}
-        remapped = []
-        for nid in fact_node:
-            tid = token_ids.get(nid)
-            if tid is None:
-                tid = len(tokens)
-                token_ids[nid] = tid
-                tokens.append(list(self._token_of[nid]))
-            remapped.append(tid)
-        packed["fact_node"] = encode_int_column(remapped)
+        procedures, which renumber every node.  Tokens are numbered in
+        order of first appearance in the node column."""
+        if self.kernel is not None:
+            tokens, column = self._node_tokens(self.kernel._fact_node)
+            packed = self.kernel.store.packed_json(fact_node=column)
+            stats = _counters_of(self.kernel)
+        else:
+            assert self.state is not None
+            packed = dict(self.state["packed"])
+            tokens, column = self._node_tokens(
+                decode_int_column(packed["fact_node"], packed["byteorder"])
+            )
+            packed["fact_node"] = encode_int_column(column)
+            stats = dict(self.state["stats"])
         packed["node_tokens"] = tokens
-        return {"packed": packed, "stats": dict(state["stats"])}
+        return {"packed": packed, "stats": stats}
+
+    def _node_tokens(self, fact_node: Sequence[int]) -> tuple[list, list]:
+        """``(tokens, token-id column)`` for a node-id column."""
+        tid_of = {nid: tid for tid, nid in enumerate(dict.fromkeys(fact_node))}
+        tokens = [list(self._token_of[nid]) for nid in tid_of]
+        return tokens, [tid_of[nid] for nid in fact_node]
 
     def adopt_portable(self, state: dict) -> None:
         """Install a cache-loaded portable state (inverse of
@@ -445,7 +524,9 @@ def _worker_drain(payload: tuple) -> dict:
         "ok": ok,
         "reason": kernel.budget.reason,
         "state": solver.pack(),
-        "harvest": solver.harvest() if ok else {"seeds": {}, "exits": []},
+        "harvest": solver.harvest_with_texts()
+        if ok
+        else {"seeds": {}, "exits": []},
     }
 
 
@@ -578,6 +659,8 @@ class SummaryAnalysis:
     def _setup(self) -> None:
         self.rounds = 0
         self.drains = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
         self.cache_hit_procs = set()
         self.cache_miss_procs = set()
         self.solvers = {
@@ -667,7 +750,9 @@ class SummaryAnalysis:
                     self.budget.reason = "max_facts"
                     return
             # Barrier: diff every harvest against what has already been
-            # broadcast, in fixed order, to build the next round.
+            # broadcast, in fixed order, to build the next round.  Items
+            # travel with their canonical texts, which the seen-sets
+            # hold and the deltas sort by.
             next_pending: dict[str, dict] = {}
 
             def delta_for(proc: str) -> dict:
@@ -678,22 +763,20 @@ class SummaryAnalysis:
 
             for proc in order:
                 harvest = harvests[proc]
-                for callee, pairs in sorted(harvest["seeds"].items()):
+                for callee, items in sorted(harvest["seeds"].items()):
                     seen = seen_seeds[callee]
-                    fresh = [
-                        pj for pj in pairs if _canon(pj) not in seen
-                    ]
+                    fresh = [item for item in items if item[0] not in seen]
                     if not fresh:
                         continue
-                    seen.update(_canon(pj) for pj in fresh)
+                    seen.update(text for text, _pj in fresh)
                     if callee != proc:
                         # A self-recursive call's seeds are already
                         # facts in this very kernel.
                         delta_for(callee)["seeds"].extend(fresh)
-                for entry in harvest["exits"]:
-                    aa_json, pair_json, clean = entry
-                    key = _canon([aa_json, pair_json])
-                    sent = exit_sent[proc]
+                sent = exit_sent[proc]
+                for item in harvest["exits"]:
+                    clean = item[1][2]
+                    key = _exit_key(item[0])
                     previous = sent.get(key)
                     if previous is None or (clean and not previous):
                         sent[key] = bool(clean) or bool(previous)
@@ -702,11 +785,15 @@ class SummaryAnalysis:
                                 continue
                             delta_for(caller)["mirrors"].setdefault(
                                 proc, []
-                            ).append(entry)
+                            ).append(item)
             for delta in next_pending.values():
-                delta["seeds"].sort(key=_canon)
-                for facts in delta["mirrors"].values():
-                    facts.sort(key=_canon)
+                delta["seeds"] = [
+                    pj for _text, pj in sorted(delta["seeds"], key=_by_text)
+                ]
+                for callee, items in delta["mirrors"].items():
+                    delta["mirrors"][callee] = [
+                        entry for _text, entry in sorted(items, key=_by_text)
+                    ]
             pending = next_pending
             self.rounds += 1
 
@@ -750,7 +837,7 @@ class SummaryAnalysis:
                     to_solve.append(proc)
                     self.cache_miss_procs.add(proc)
                     continue
-                harvests[proc] = harvest
+                harvests[proc] = _with_texts(harvest)
                 self.drains += 1
                 self.cache_hits += 1
                 self.cache_hit_procs.add(proc)
@@ -792,7 +879,7 @@ class SummaryAnalysis:
                             self._proc_keys[proc],
                             solver.inputs_digest,
                             solver.state_portable(),
-                            result["harvest"],
+                            _without_texts(result["harvest"]),
                         ),
                     )
         return harvests
@@ -818,7 +905,7 @@ class SummaryAnalysis:
             results[proc] = {
                 "ok": ok,
                 "reason": kernel.budget.reason,
-                "harvest": solver.harvest()
+                "harvest": solver.harvest_with_texts()
                 if ok
                 else {"seeds": {}, "exits": []},
             }
@@ -917,11 +1004,12 @@ class SummaryAnalysis:
     # -- merge ----------------------------------------------------------------
 
     def _merge(self) -> KernelStore:
-        """One whole-program store: each procedure's packed facts —
-        filtered to its own nodes, dropping mirror copies — replayed in
-        bottom-up procedure order.  ``owned_nodes=frozenset()`` skips
-        all transfer-table construction: the merged kernel is a
-        query-only store."""
+        """One whole-program store: each procedure's facts — filtered
+        to its own nodes, dropping mirror copies — replayed in bottom-up
+        procedure order, straight from a live kernel's columns.
+        ``owned_nodes=frozenset()`` skips all transfer-table
+        construction and the two rule-only indexes: the merged kernel is
+        a query-only store."""
         merged = KernelAnalysis(
             self.analyzed,
             self.icfg,
@@ -932,17 +1020,18 @@ class SummaryAnalysis:
         for proc in sorted(self.solvers, key=self.callgraph.order_key):
             solver = self.solvers[proc]
             if solver.kernel is not None:
-                payload = solver.pack()
+                columns = solver.kernel.store.columns()
             elif solver.state is not None:
-                payload = solver.state
+                # Packed by a worker, or adopted from the cache.
+                columns = decode_packed(solver.state["packed"])
             else:
                 continue
-            merged.absorb_packed(payload["packed"], keep_nids=solver.owned)
+            merged.absorb(columns, keep_nids=solver.owned)
+            counters = solver.counters()
+            assert counters is not None
             for name in _COUNTER_FIELDS:
                 setattr(
-                    totals,
-                    name,
-                    getattr(totals, name) + int(payload["stats"][name]),
+                    totals, name, getattr(totals, name) + int(counters[name])
                 )
         merged.store.clear_worklist()
         # The replay bumped the merge kernel's counters; report the

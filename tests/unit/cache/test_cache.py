@@ -292,6 +292,60 @@ class TestCorruptionRecovery:
         assert solution.complete
 
 
+class _RecordingCache(SolutionCache):
+    """Keeps every envelope it is asked to store."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.envelopes: dict[str, dict] = {}
+
+    def put(self, key, envelope):
+        self.envelopes[key] = envelope
+        return super().put(key, envelope)
+
+
+def _json_dump_bytes(envelope: dict, tmp_path) -> bytes:
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as handle:
+        json.dump(envelope, handle, sort_keys=True)
+    return reference.read_bytes()
+
+
+class TestPutBytes:
+    """``put`` encodes in one ``json.dumps`` call; the file must hold
+    exactly what streaming ``json.dump`` wrote, so old entries still
+    compare byte for byte."""
+
+    def _stored(self, tmp_path, schema):
+        cache = _RecordingCache(tmp_path / "cache")
+        _solve(WIDE_SOURCE, cache, engine="summary")
+        stored = {
+            key: envelope
+            for key, envelope in cache.envelopes.items()
+            if envelope["schema"] == schema
+        }
+        assert stored
+        return cache, stored
+
+    def test_summary_envelope_bytes_equal_json_dump(self, tmp_path):
+        from repro.summaries.envelope import SUMMARY_ENTRY_SCHEMA
+
+        cache, stored = self._stored(tmp_path, SUMMARY_ENTRY_SCHEMA)
+        for key, envelope in stored.items():
+            assert cache.entry_path(key).read_bytes() == _json_dump_bytes(
+                envelope, tmp_path
+            )
+
+    def test_whole_program_envelope_bytes_equal_json_dump(self, tmp_path):
+        from repro.cache.store import CACHE_ENTRY_SCHEMA
+
+        cache, stored = self._stored(tmp_path, CACHE_ENTRY_SCHEMA)
+        for key, envelope in stored.items():
+            assert cache.entry_path(key).read_bytes() == _json_dump_bytes(
+                envelope, tmp_path
+            )
+
+
 class TestStoreAdministration:
     def test_eviction_keeps_newest(self, tmp_path):
         import os

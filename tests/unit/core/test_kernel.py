@@ -235,6 +235,51 @@ class TestEngineReport:
         assert solution.engine.facts == len(solution.store)
 
 
+class TestPerNodeIndexes:
+    """The base index is read only by case 3.iii, at a node feeding an
+    assignment whose RHS is not opaque; the assumed-pair index only by
+    the call-side return join, at a callee's exit.  Each is kept only
+    there."""
+
+    def test_indexes_exist_only_where_a_rule_reads_them(self):
+        from repro.core.transfer import RhsView
+        from repro.icfg.ir import NodeKind
+        from repro.programs import ProgramSpec, generate_program
+
+        source = generate_program(ProgramSpec.for_target_nodes("scaling", 240))
+        analyzed = parse_and_analyze(source)
+        icfg = build_icfg(analyzed)
+        kernel = KernelAnalysis(analyzed, icfg, k=3)
+        kernel.run()
+        feeds_assignment = {
+            node.nid
+            for node in icfg.nodes
+            if any(
+                succ.is_pointer_assignment
+                and not RhsView.of(succ.stmt.rhs).is_opaque
+                for succ in node.succs
+            )
+        }
+        exits = {node.nid for node in icfg.nodes if node.kind is NodeKind.EXIT}
+        base_nodes = {nid for nid, index in enumerate(kernel._by_node_base) if index}
+        assumed_nodes = {
+            nid for nid, index in enumerate(kernel._by_node_assumed) if index
+        }
+        assert base_nodes and base_nodes <= feeds_assignment
+        assert assumed_nodes and assumed_nodes <= exits
+
+    def test_query_only_store_keeps_neither_index(self):
+        from repro.summaries.solver import SummaryAnalysis
+
+        analyzed = parse_and_analyze(ALL_FIXTURES["linked_list"])
+        icfg = build_icfg(analyzed)
+        store = SummaryAnalysis(analyzed, icfg, k=1).run()
+        assert len(store) > 0
+        merged = store._kernel
+        assert not any(merged._by_node_base)
+        assert not any(merged._by_node_assumed)
+
+
 class TestLoweredPool:
     """Lowered ``corpus/pool.c`` at k=1: 697 of its return-join slots
     have several members, and the reference engine does not finish it

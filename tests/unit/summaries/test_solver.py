@@ -3,9 +3,11 @@ the inputs digest, and the paper-facing ``procedure_summary`` view."""
 
 import pytest
 
+from repro.cache.store import SolutionCache
 from repro.frontend.semantics import parse_and_analyze
 from repro.icfg.builder import build_icfg
-from repro.summaries.solver import ProcSolver, SummaryAnalysis
+from repro.programs import ProgramSpec, generate_program
+from repro.summaries.solver import ProcSolver, SummaryAnalysis, _PoolFailure
 
 SOURCE = """
 int *g; int x;
@@ -116,3 +118,35 @@ class TestProcedureSummary:
         analysis = _analysis(SOURCE)
         for proc in analysis.callgraph.procs:
             assert isinstance(analysis.procedure_summary(proc), dict)
+
+
+class TestPoolFallback:
+    def test_serial_restart_counts_only_its_own_lookups(self, tmp_path, monkeypatch):
+        # A worker failure restarts the whole schedule serially; the
+        # restart's per-procedure cache counters must not include the
+        # abandoned parallel attempt's lookups.
+        analyzed = parse_and_analyze(generate_program(ProgramSpec("s2", seed=2)))
+        icfg = build_icfg(analyzed)
+        parallel_calls = []
+        drain_parallel = SummaryAnalysis._drain_parallel
+
+        def failing_second_call(self, *args):
+            parallel_calls.append(len(parallel_calls))
+            if len(parallel_calls) == 2:
+                raise _PoolFailure("worker died")
+            return drain_parallel(self, *args)
+
+        monkeypatch.setattr(SummaryAnalysis, "_drain_parallel", failing_second_call)
+        analysis = SummaryAnalysis(
+            analyzed,
+            icfg,
+            k=2,
+            jobs=2,
+            cache=SolutionCache(tmp_path),
+            oversubscribe=True,
+        )
+        analysis.run()
+        assert len(parallel_calls) == 2
+        # The first parallel round's entries hit in the restart.
+        assert analysis.cache_hits > 0
+        assert analysis.cache_hits + analysis.cache_misses == analysis.drains
