@@ -208,7 +208,7 @@ def verify_cache(
             isinstance(envelope, dict)
             and envelope.get("schema") != CACHE_ENTRY_SCHEMA
         ):
-            # Per-procedure summary envelopes (repro-summary-entry/1)
+            # Per-procedure summary envelopes (repro-summary-entry/2)
             # share the store but are not self-contained programs; the
             # summary engine's own warm-vs-cold equivalence tests cover
             # them.

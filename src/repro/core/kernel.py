@@ -170,8 +170,13 @@ class FactColumns(NamedTuple):
     taint: bytes | bytearray
 
 
-def decode_packed(packed: dict) -> FactColumns:
-    """The columns of a :meth:`KernelStore.packed_json` payload."""
+def decode_packed(
+    packed: dict, node_ids: Optional[Sequence[int]] = None
+) -> FactColumns:
+    """The columns of a :meth:`KernelStore.packed_json` payload.  With
+    ``node_ids`` the node column holds indexes into it (the summary
+    engine's portable node tokens, resolved by the caller) and is read
+    as the node ids they stand for."""
     if packed.get("layout") != PACKED_LAYOUT:
         raise ValueError(f"unknown packed layout {packed.get('layout')!r}")
     byteorder = packed["byteorder"]
@@ -186,12 +191,15 @@ def decode_packed(packed: dict) -> FactColumns:
             decode_int_column(packed["pair_second"], byteorder),
         )
     ]
+    fact_node: Sequence[int] = decode_int_column(packed["fact_node"], byteorder)
+    if node_ids is not None:
+        fact_node = list(map(node_ids.__getitem__, fact_node))
     columns = FactColumns(
         pairs=pairs,
         aas=[tuple(pairs[p] for p in pair_ids) for pair_ids in packed["aas"]],
         entry_aa=decode_int_column(packed["entry_aa"], byteorder),
         entry_pair=decode_int_column(packed["entry_pair"], byteorder),
-        fact_node=decode_int_column(packed["fact_node"], byteorder),
+        fact_node=fact_node,
         fact_entry=decode_int_column(packed["fact_entry"], byteorder),
         taint=base64.b64decode(packed["taint"]),
     )
@@ -341,6 +349,8 @@ class KernelStore:
     accepts object-level triples — the summary engine uses it to inject
     mirrored callee exit facts into a procedure's kernel.
     """
+
+    __slots__ = ("_kernel",)
 
     def __init__(self, kernel: "KernelAnalysis") -> None:
         self._kernel = kernel
@@ -779,7 +789,13 @@ class KernelAnalysis:
         for ct in self._call_tables.values():
             self._by_node_assumed[ct.exit_nid] = {}
 
-        self.store = KernelStore(self)
+    @property
+    def store(self) -> KernelStore:
+        """A query view over this kernel, made on each access.  The view
+        points at the kernel and never the reverse, so a dropped
+        solution frees its kernel at once instead of at the next full
+        garbage collection (DESIGN.md §5b)."""
+        return KernelStore(self)
 
     # -- interning ----------------------------------------------------------
 

@@ -5,8 +5,8 @@ a long-lived service answering ``may_alias`` and lint queries as code
 changes.  This package holds parsed ICFGs and solutions resident in
 memory (:class:`~repro.serve.session.ServeSession`), accepts file-
 change deltas, invalidates only the procedures an edit touched via the
-summary engine's per-procedure cache keys (``repro-summary-entry/1``,
-PR 7), and serves two wire surfaces over one session:
+summary engine's per-procedure cache keys (``repro-summary-entry/2``),
+and serves two wire surfaces over one session:
 
 * **JSON-RPC over stdio** (:mod:`repro.serve.protocol`) — LSP-style:
   ``textDocument/didOpen``/``didChange`` push full-text deltas and

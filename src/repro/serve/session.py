@@ -17,7 +17,7 @@ into.  Three properties carry the design:
   (:mod:`repro.summaries`) against a shared
   :class:`~repro.cache.store.SolutionCache`, so the unit of
   re-computation after an edit is one procedure: unchanged procedures
-  replay their ``repro-summary-entry/1`` envelopes, and only
+  replay their ``repro-summary-entry/2`` envelopes, and only
   procedures whose body hash (or input deltas) changed re-solve.  The
   session diffs per-procedure body hashes across versions and counts a
   post-edit solve as *scoped* when every cache miss belongs to an

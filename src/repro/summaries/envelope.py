@@ -24,6 +24,9 @@ still feeds them the same deltas.
 Envelopes live in the same :class:`~repro.cache.store.SolutionCache`
 as whole-program entries under their own schema marker;
 ``verify_cache`` skips them (they are not self-contained programs).
+An envelope stores the harvest as the barrier uses it, each seed pair
+and exit entry as its canonical JSON text, so a hit reads one string
+per item instead of a nested list to re-encode.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from ..frontend.semantics import AnalyzedProgram
 
 #: Schema marker for per-procedure summary entries (distinguishes them
 #: from ``repro-cache-entry/1`` whole-program envelopes in a shared
-#: cache directory).
-SUMMARY_ENTRY_SCHEMA = "repro-summary-entry/1"
+#: cache directory).  It is part of every entry key, so entries of an
+#: older schema are never looked up.
+SUMMARY_ENTRY_SCHEMA = "repro-summary-entry/2"
 
 
 def _sha(text: str) -> str:
@@ -98,10 +102,10 @@ def summary_proc_key(
 
 
 def summary_entry_key(proc_key: str, inputs_digest: str) -> str:
-    """The full address of one drain: procedure identity x the running
-    digest of every input delta injected so far (see
+    """The full address of one drain: entry schema x procedure identity
+    x the running digest of every input delta injected so far (see
     :meth:`repro.summaries.solver.ProcSolver.advance_digest`)."""
-    return _sha(f"summary-entry:{proc_key}:{inputs_digest}")
+    return _sha(f"{SUMMARY_ENTRY_SCHEMA}:{proc_key}:{inputs_digest}")
 
 
 def make_summary_envelope(
@@ -114,7 +118,8 @@ def make_summary_envelope(
 ) -> dict:
     """The JSON envelope one per-procedure drain stores: the packed
     post-drain kernel state (with its cumulative counters) and the
-    harvest surface the coordinator diffs."""
+    harvest surface the coordinator diffs, its items as canonical
+    texts."""
     return {
         "schema": SUMMARY_ENTRY_SCHEMA,
         "key": key,
@@ -131,7 +136,8 @@ def make_summary_envelope(
 
 def load_summary_envelope(envelope: dict) -> Optional[tuple[dict, dict]]:
     """``(state, harvest)`` when the envelope is a well-formed summary
-    entry of the current code version, else None (treated as a miss)."""
+    entry of the current code version, else None (treated as a miss).
+    Every harvest item must be a string."""
     try:
         if envelope["schema"] != SUMMARY_ENTRY_SCHEMA:
             return None
@@ -141,6 +147,14 @@ def load_summary_envelope(envelope: dict) -> Optional[tuple[dict, dict]]:
         harvest = envelope["harvest"]
         if not isinstance(state, dict) or not isinstance(harvest, dict):
             return None
+        seeds = harvest["seeds"]
+        if not isinstance(seeds, dict):
+            return None
+        for items in (harvest["exits"], *seeds.values()):
+            if not isinstance(items, list) or not all(
+                isinstance(item, str) for item in items
+            ):
+                return None
         return state, harvest
     except (KeyError, TypeError):
         return None

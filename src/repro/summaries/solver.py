@@ -68,16 +68,9 @@ import json
 import os
 import sys
 import time
-from operator import itemgetter
 from typing import Optional, Sequence
 
-from ..core.kernel import (
-    KernelAnalysis,
-    KernelStore,
-    decode_int_column,
-    decode_packed,
-    encode_int_column,
-)
+from ..core.kernel import FactColumns, KernelAnalysis, KernelStore, decode_packed
 from ..core.metrics import (
     PHASE_INIT,
     PHASE_POST,
@@ -109,40 +102,29 @@ from .envelope import (
 #: Canonical JSON text: sorted keys, no spaces.
 _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-_by_text = itemgetter(0)
+#: The two deltas that carry no items: a cold drain's, and the one that
+#: starts the retaint pass.
+_EMPTY_DELTA = _canon({"seeds": [], "mirrors": {}})
+_RETAINT_DELTA = _canon({"retaint": 1, "seeds": [], "mirrors": {}})
 
 
-def _exit_key(entry_text: str) -> str:
-    """An exit entry's canonical text without its clean bit — one key
-    per (assumption, pair) of the exit table."""
-    return entry_text[: entry_text.rindex(",")]
+def _delta_text(seeds: list[str], mirrors: dict[str, list[str]]) -> str:
+    """``_canon({"seeds": seeds, "mirrors": mirrors})`` with every item
+    already a canonical text: the items are sorted and joined, never
+    decoded."""
+    mirrored = ",".join(
+        f"{_canon(callee)}:[{','.join(sorted(mirrors[callee]))}]"
+        for callee in sorted(mirrors)
+    )
+    return f'{{"mirrors":{{{mirrored}}},"seeds":[{",".join(sorted(seeds))}]}}'
 
 
-def _with_texts(harvest: dict) -> dict:
-    """A harvest whose seed pairs and exit entries each come paired with
-    their canonical text, ``(text, item)`` — the form the barrier sorts
-    and dedups by.  :meth:`ProcSolver.harvest_with_texts` builds it
-    straight from a live kernel; this encodes a harvest that arrived as
-    JSON (a cache hit)."""
-    return {
-        "seeds": {
-            callee: [(_canon(pj), pj) for pj in pairs]
-            for callee, pairs in harvest["seeds"].items()
-        },
-        "exits": [(_canon(entry), entry) for entry in harvest["exits"]],
-    }
-
-
-def _without_texts(harvest: dict) -> dict:
-    """The plain harvest (what the cache stores) of a :func:`_with_texts`
-    one."""
-    return {
-        "seeds": {
-            callee: [pj for _text, pj in items]
-            for callee, items in harvest["seeds"].items()
-        },
-        "exits": [entry for _text, entry in harvest["exits"]],
-    }
+def _split_exit(entry_text: str) -> tuple[str, bool]:
+    """An exit entry's canonical text split at its clean bit: the key
+    left of it (one per (assumption, pair) of the exit table) and the
+    bit."""
+    cut = entry_text.rindex(",")
+    return entry_text[:cut], entry_text[cut + 1] == "t"
 
 
 #: Counter fields snapshotted into packed state so a restored kernel
@@ -234,11 +216,11 @@ class ProcSolver:
         # None before the cold round reaches this procedure.
         self.kernel: Optional[KernelAnalysis] = None
         self.state: Optional[dict] = None
-        # Per pair id of ``_json_kernel``: its canonical text and JSON
-        # form, and whether the exit table keeps it.  Ids are per
-        # kernel, so a new kernel starts these over.
+        # Per pair id of ``_json_kernel``: its canonical text, and
+        # whether the exit table keeps it.  Ids are per kernel, so a new
+        # kernel starts these over.
         self._json_kernel: Optional[KernelAnalysis] = None
-        self._pair_json: dict[int, tuple[str, list]] = {}
+        self._pair_text: dict[int, str] = {}
         self._exit_keeps: dict[int, bool] = {}
         # Running digest of every injected delta, in order — the
         # per-drain half of the cache key.
@@ -268,25 +250,18 @@ class ProcSolver:
             return
         assert self.state is not None
         kernel = self._new_kernel()
-        kernel.absorb(decode_packed(self.state["packed"]))
+        kernel.absorb(self.packed_columns())
         kernel.store.clear_worklist()
         kernel.replay_registrations()
         _restore_counters(kernel, self.state["stats"])
         self.kernel = kernel
         self.state = None
 
-    def pack(self) -> dict:
-        assert self.kernel is not None
-        return {
-            "packed": self.kernel.store.packed_json(),
-            "stats": _counters_of(self.kernel),
-        }
-
     def drop_live(self) -> None:
         """Pack and release the live kernel (parallel transport keeps
         procedure state packed between rounds)."""
         if self.kernel is not None:
-            self.state = self.pack()
+            self.state = self.state_portable()
             self.kernel = None
 
     def counters(self) -> Optional[dict]:
@@ -305,17 +280,19 @@ class ProcSolver:
 
     # -- inject / drain / harvest ------------------------------------------
 
-    def advance_digest(self, delta: dict) -> str:
-        """Fold one canonical input delta into the running digest."""
+    def advance_digest(self, delta_text: str) -> str:
+        """Fold one input delta, as its canonical text, into the running
+        digest."""
         self.inputs_digest = hashlib.sha256(
-            f"{self.inputs_digest}:{_canon(delta)}".encode("utf-8")
+            f"{self.inputs_digest}:{delta_text}".encode("utf-8")
         ).hexdigest()
         return self.inputs_digest
 
-    def inject(self, delta: dict) -> None:
-        """Apply one delta: entry-seed pairs at this procedure's entry
-        and mirrored callee exit facts, in canonical (sorted) order —
-        the same order :meth:`advance_digest` hashed.
+    def inject(self, delta_text: str) -> None:
+        """Apply one delta, given as its canonical text: entry-seed pairs
+        at this procedure's entry and mirrored callee exit facts, in
+        canonical (sorted) order — the text :meth:`advance_digest`
+        hashed.  This is the one place a delta is decoded.
 
         A ``retaint`` delta instead starts this kernel's half of the
         global retaint pass (see :meth:`KernelAnalysis._retaint`):
@@ -328,6 +305,7 @@ class ProcSolver:
         following rounds."""
         kernel = self.kernel
         assert kernel is not None
+        delta = json.loads(delta_text)
         if delta.get("retaint"):
             kernel._taint_all()
             kernel._reseed_clean()
@@ -362,7 +340,8 @@ class ProcSolver:
         return not kernel.budget.exceeded
 
     def harvest(self) -> dict:
-        """The procedure's current summary surface, canonically ordered:
+        """The procedure's current summary surface, each item as its
+        canonical JSON text, in sorted order:
 
         * ``seeds`` — per callee, the entry pairs this kernel has
           recorded at the callee's entry node;
@@ -374,30 +353,28 @@ class ProcSolver:
           site, so the filter changes nothing downstream — it only
           keeps mirrors small and cache keys stable under edits that
           touch purely local aliasing.
-        """
-        return _without_texts(self.harvest_with_texts())
 
-    def harvest_with_texts(self) -> dict:
-        """:meth:`harvest` with each item paired with its canonical text
-        (see :func:`_with_texts`), read off the kernel's id columns: one
-        JSON fragment per pair id, and taint by fact id."""
+        The texts are read off the kernel's id columns: one fragment per
+        pair id, and taint by fact id.  The barrier dedups and sorts
+        them, deltas are joined from them, and the cache stores them.
+        """
         kernel = self.kernel
         assert kernel is not None
         if self._json_kernel is not kernel:
             self._json_kernel = kernel
-            self._pair_json = {}
+            self._pair_text = {}
             self._exit_keeps = {}
         by_node = kernel._by_node
         entry_pair = kernel._entry_pair
         fragment = self._fragment
-        seeds: dict[str, list] = {}
+        seeds: dict[str, list[str]] = {}
         for callee in self.callees:
-            items = [
-                fragment(entry_pair[eid])
-                for eid in by_node[self.icfg.entry_of(callee).nid]
-            ]
-            items.sort(key=_by_text)
-            seeds[callee] = items
+            seeds[callee] = sorted(
+                [
+                    fragment(entry_pair[eid])
+                    for eid in by_node[self.icfg.entry_of(callee).nid]
+                ]
+            )
         entry_aa = kernel._entry_aa
         aa_pairs = kernel._aa_pairs
         keeps = self._exit_keeps
@@ -410,23 +387,21 @@ class ProcSolver:
                 keep = keeps[pid] = self._survives_return(pid)
             if not keep:
                 continue
-            pair_text, pair_json = fragment(pid)
-            assumed = [fragment(p) for p in aa_pairs[entry_aa[eid]]]
-            clean = bool(kernel._taint_entry_at(exit_nid, eid))
-            aa_text = ",".join([t for t, _j in assumed])
-            text = f"[[{aa_text}],{pair_text},{'true' if clean else 'false'}]"
-            exits.append((text, [[j for _t, j in assumed], pair_json, clean]))
-        exits.sort(key=_by_text)
+            aa_text = ",".join([fragment(p) for p in aa_pairs[entry_aa[eid]]])
+            clean = "true" if kernel._taint_entry_at(exit_nid, eid) else "false"
+            exits.append(f"[[{aa_text}],{fragment(pid)},{clean}]")
+        exits.sort()
         return {"seeds": seeds, "exits": exits}
 
-    def _fragment(self, pid: int) -> tuple[str, list]:
-        """Pair id -> (canonical text, JSON form), memoized per kernel."""
-        out = self._pair_json.get(pid)
-        if out is None:
+    def _fragment(self, pid: int) -> str:
+        """Pair id -> canonical text, memoized per kernel."""
+        text = self._pair_text.get(pid)
+        if text is None:
             assert self.kernel is not None
-            pair_json = pair_to_json(self.kernel._pairs[pid])
-            out = self._pair_json[pid] = (_canon(pair_json), pair_json)
-        return out
+            text = self._pair_text[pid] = _canon(
+                pair_to_json(self.kernel._pairs[pid])
+            )
+        return text
 
     def _survives_return(self, pid: int) -> bool:
         assert self.kernel is not None
@@ -442,21 +417,16 @@ class ProcSolver:
         """Packed state with node ids replaced by stable tokens (see
         ``_token_of``) so cache entries survive edits to *other*
         procedures, which renumber every node.  Tokens are numbered in
-        order of first appearance in the node column."""
-        if self.kernel is not None:
-            tokens, column = self._node_tokens(self.kernel._fact_node)
-            packed = self.kernel.store.packed_json(fact_node=column)
-            stats = _counters_of(self.kernel)
-        else:
+        order of first appearance in the node column.  This is the only
+        packed form: workers send it back, the cache stores it, and a
+        procedure that is not live holds it as is."""
+        if self.kernel is None:
             assert self.state is not None
-            packed = dict(self.state["packed"])
-            tokens, column = self._node_tokens(
-                decode_int_column(packed["fact_node"], packed["byteorder"])
-            )
-            packed["fact_node"] = encode_int_column(column)
-            stats = dict(self.state["stats"])
+            return self.state
+        tokens, column = self._node_tokens(self.kernel._fact_node)
+        packed = self.kernel.store.packed_json(fact_node=column)
         packed["node_tokens"] = tokens
-        return {"packed": packed, "stats": stats}
+        return {"packed": packed, "stats": _counters_of(self.kernel)}
 
     def _node_tokens(self, fact_node: Sequence[int]) -> tuple[list, list]:
         """``(tokens, token-id column)`` for a node-id column."""
@@ -464,26 +434,46 @@ class ProcSolver:
         tokens = [list(self._token_of[nid]) for nid in tid_of]
         return tokens, [tid_of[nid] for nid in fact_node]
 
+    def _node_ids(self, tokens: list) -> list[int]:
+        """The node id of each stored token (KeyError when one no
+        longer resolves: the callee set changed)."""
+        return [self._nid_of[(token[0], token[1])] for token in tokens]
+
     def adopt_portable(self, state: dict) -> None:
-        """Install a cache-loaded portable state (inverse of
-        :meth:`state_portable`), dropping any live kernel."""
-        packed = dict(state["packed"])
-        byteorder = packed["byteorder"]
-        if byteorder != sys.byteorder:
-            # The remapped fact_node column below is re-encoded in
-            # native order; mixing orders within one payload would
-            # corrupt it.  Cross-endian cache sharing is a miss.
+        """Install a cache-loaded portable state as it is, dropping any
+        live kernel.  Its node tokens are resolved here, so a stale one
+        raises before anything is installed; its columns are decoded
+        only when the procedure goes live or is merged
+        (:meth:`packed_columns`)."""
+        packed = state["packed"]
+        if packed["byteorder"] != sys.byteorder:
+            # Summary entries are shared only between hosts of one byte
+            # order: a foreign one is a miss, like a stale token.
             raise ValueError("foreign byteorder")
-        tokens = packed.pop("node_tokens")
-        nid_by_tid = [
-            self._nid_of[(token[0], token[1])] for token in tokens
-        ]
-        fact_node = decode_int_column(packed["fact_node"], byteorder)
-        packed["fact_node"] = encode_int_column(
-            [nid_by_tid[tid] for tid in fact_node]
-        )
+        self._node_ids(packed["node_tokens"])
         self.kernel = None
-        self.state = {"packed": packed, "stats": dict(state["stats"])}
+        self.state = state
+
+    def packed_columns(self) -> FactColumns:
+        """The held packed state's columns, each node token read as the
+        node id it stands for in this program."""
+        assert self.state is not None
+        packed = self.state["packed"]
+        return decode_packed(packed, self._node_ids(packed["node_tokens"]))
+
+
+def _replay(solver: ProcSolver, envelope: dict) -> Optional[dict]:
+    """Install a cache hit's stored state into ``solver`` and return its
+    stored harvest, or None when the envelope does not rebuild."""
+    loaded = load_summary_envelope(envelope)
+    if loaded is None:
+        return None
+    state, harvest = loaded
+    try:
+        solver.adopt_portable(state)
+    except (KeyError, IndexError, TypeError, ValueError):
+        return None
+    return harvest
 
 
 # -- worker-side transport ----------------------------------------------------
@@ -523,8 +513,8 @@ def _worker_drain(payload: tuple) -> dict:
         "proc": proc,
         "ok": ok,
         "reason": kernel.budget.reason,
-        "state": solver.pack(),
-        "harvest": solver.harvest_with_texts()
+        "state": solver.state_portable(),
+        "harvest": solver.harvest()
         if ok
         else {"seeds": {}, "exits": []},
     }
@@ -648,10 +638,9 @@ class SummaryAnalysis:
         solver = self.solvers[proc]
         solver.ensure_live()
         grouped: dict[str, list] = {}
-        for aa_json, pair_json, clean in solver.harvest()["exits"]:
-            grouped.setdefault(_canon(aa_json), []).append(
-                [pair_json, bool(clean)]
-            )
+        for text in solver.harvest()["exits"]:
+            aa_json, pair_json, clean = json.loads(text)
+            grouped.setdefault(_canon(aa_json), []).append([pair_json, clean])
         return grouped
 
     # -- schedule -------------------------------------------------------------
@@ -688,15 +677,13 @@ class SummaryAnalysis:
                 if proc in texts
             }
 
-    def _empty_delta(self) -> dict:
-        return {"seeds": [], "mirrors": {}}
-
     def _solve_rounds(
         self, deadline_at: Optional[float], parallel_ok: bool
     ) -> None:
         order_key = self.callgraph.order_key
-        pending: dict[str, dict] = {
-            proc: self._empty_delta()
+        # proc -> the canonical text of the delta its next drain injects.
+        pending: dict[str, str] = {
+            proc: _EMPTY_DELTA
             for proc in sorted(self.callgraph.procs, key=order_key)
         }
         cold = set(pending)
@@ -724,7 +711,7 @@ class SummaryAnalysis:
                     for key in sent:
                         sent[key] = False
                 pending = {
-                    proc: {"retaint": 1, "seeds": [], "mirrors": {}}
+                    proc: _RETAINT_DELTA
                     for proc in sorted(self.callgraph.procs, key=order_key)
                 }
             remaining: Optional[float] = None
@@ -751,56 +738,50 @@ class SummaryAnalysis:
                     return
             # Barrier: diff every harvest against what has already been
             # broadcast, in fixed order, to build the next round.  Items
-            # travel with their canonical texts, which the seen-sets
-            # hold and the deltas sort by.
-            next_pending: dict[str, dict] = {}
+            # are canonical texts: the seen-sets hold them, and each
+            # delta is joined from them, sorted.
+            next_pending: dict[str, tuple[list[str], dict[str, list[str]]]] = {}
 
-            def delta_for(proc: str) -> dict:
+            def delta_for(proc: str) -> tuple[list[str], dict[str, list[str]]]:
                 delta = next_pending.get(proc)
                 if delta is None:
-                    delta = next_pending[proc] = self._empty_delta()
+                    delta = next_pending[proc] = ([], {})
                 return delta
 
             for proc in order:
                 harvest = harvests[proc]
-                for callee, items in sorted(harvest["seeds"].items()):
+                for callee, texts in sorted(harvest["seeds"].items()):
                     seen = seen_seeds[callee]
-                    fresh = [item for item in items if item[0] not in seen]
+                    fresh = [text for text in texts if text not in seen]
                     if not fresh:
                         continue
-                    seen.update(text for text, _pj in fresh)
+                    seen.update(fresh)
                     if callee != proc:
                         # A self-recursive call's seeds are already
                         # facts in this very kernel.
-                        delta_for(callee)["seeds"].extend(fresh)
+                        delta_for(callee)[0].extend(fresh)
                 sent = exit_sent[proc]
-                for item in harvest["exits"]:
-                    clean = item[1][2]
-                    key = _exit_key(item[0])
+                for text in harvest["exits"]:
+                    key, clean = _split_exit(text)
                     previous = sent.get(key)
                     if previous is None or (clean and not previous):
-                        sent[key] = bool(clean) or bool(previous)
+                        sent[key] = clean or bool(previous)
                         for caller in self._callers_of[proc]:
                             if caller == proc:
                                 continue
-                            delta_for(caller)["mirrors"].setdefault(
-                                proc, []
-                            ).append(item)
-            for delta in next_pending.values():
-                delta["seeds"] = [
-                    pj for _text, pj in sorted(delta["seeds"], key=_by_text)
-                ]
-                for callee, items in delta["mirrors"].items():
-                    delta["mirrors"][callee] = [
-                        entry for _text, entry in sorted(items, key=_by_text)
-                    ]
-            pending = next_pending
+                            delta_for(caller)[1].setdefault(proc, []).append(
+                                text
+                            )
+            pending = {
+                proc: _delta_text(seeds, mirrors)
+                for proc, (seeds, mirrors) in next_pending.items()
+            }
             self.rounds += 1
 
     def _drain_batch(
         self,
         order: list[str],
-        deltas: dict[str, dict],
+        deltas: dict[str, str],
         cold: set[str],
         remaining: Optional[float],
         parallel_ok: bool,
@@ -823,25 +804,19 @@ class SummaryAnalysis:
             envelope = self.cache.get(
                 key, schema=SUMMARY_ENTRY_SCHEMA, payload_key="state"
             )
-            loaded = (
-                None if envelope is None else load_summary_envelope(envelope)
-            )
-            if loaded is not None:
-                state, harvest = loaded
-                try:
-                    solver.adopt_portable(state)
-                except (KeyError, IndexError, TypeError, ValueError):
-                    # A stale token (the callee set changed) — treat as
-                    # a miss; the entry will be overwritten below.
-                    self.cache.counters.corrupt_dropped += 1
-                    to_solve.append(proc)
-                    self.cache_miss_procs.add(proc)
+            if envelope is not None:
+                harvest = _replay(solver, envelope)
+                if harvest is not None:
+                    harvests[proc] = harvest
+                    self.drains += 1
+                    self.cache_hits += 1
+                    self.cache_hit_procs.add(proc)
                     continue
-                harvests[proc] = _with_texts(harvest)
-                self.drains += 1
-                self.cache_hits += 1
-                self.cache_hit_procs.add(proc)
-                continue
+                # The lookup hit but its entry does not rebuild: a
+                # stale node token (the callee set changed) or a
+                # malformed envelope.  The drain is a miss, and its put
+                # below overwrites the entry.
+                self.cache.counters.rebuild_failures += 1
             to_solve.append(proc)
             self.cache_misses += 1
             self.cache_miss_procs.add(proc)
@@ -879,7 +854,7 @@ class SummaryAnalysis:
                             self._proc_keys[proc],
                             solver.inputs_digest,
                             solver.state_portable(),
-                            _without_texts(result["harvest"]),
+                            result["harvest"],
                         ),
                     )
         return harvests
@@ -887,7 +862,7 @@ class SummaryAnalysis:
     def _drain_serial(
         self,
         procs: list[str],
-        deltas: dict[str, dict],
+        deltas: dict[str, str],
         cold: set[str],
         remaining: Optional[float],
     ) -> dict[str, dict]:
@@ -905,7 +880,7 @@ class SummaryAnalysis:
             results[proc] = {
                 "ok": ok,
                 "reason": kernel.budget.reason,
-                "harvest": solver.harvest_with_texts()
+                "harvest": solver.harvest()
                 if ok
                 else {"seeds": {}, "exits": []},
             }
@@ -962,7 +937,7 @@ class SummaryAnalysis:
     def _drain_parallel(
         self,
         procs: list[str],
-        deltas: dict[str, dict],
+        deltas: dict[str, str],
         cold: set[str],
         remaining: Optional[float],
     ) -> dict[str, dict]:
@@ -1023,7 +998,7 @@ class SummaryAnalysis:
                 columns = solver.kernel.store.columns()
             elif solver.state is not None:
                 # Packed by a worker, or adopted from the cache.
-                columns = decode_packed(solver.state["packed"])
+                columns = solver.packed_columns()
             else:
                 continue
             merged.absorb(columns, keep_nids=solver.owned)

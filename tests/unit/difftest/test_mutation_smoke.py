@@ -7,6 +7,8 @@ this test ever passes with the mutation *not* detected, the harness
 has gone vacuous.
 """
 
+import json
+
 import pytest
 
 from repro.core.transfer import RhsView
@@ -83,10 +85,10 @@ def broken_summary_join(monkeypatch):
 
     original = ProcSolver.inject
 
-    def drop_mirrors(self, delta):
-        slim = dict(delta)
+    def drop_mirrors(self, delta_text):
+        slim = json.loads(delta_text)
         slim["mirrors"] = {}
-        original(self, slim)
+        original(self, json.dumps(slim, sort_keys=True, separators=(",", ":")))
 
     monkeypatch.setattr(ProcSolver, "inject", drop_mirrors)
 

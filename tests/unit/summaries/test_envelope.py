@@ -94,6 +94,22 @@ class TestEnvelopeRoundTrip:
         envelope["inputs"]["code_version"] = "lr-engine/0.0"
         assert load_summary_envelope(envelope) is None
 
+    def test_harvest_items_must_be_texts(self):
+        envelope = self._envelope()
+        pair = [["g", [], False], ["x", [], False]]
+        envelope["harvest"] = {"seeds": {}, "exits": [[[], pair, True]]}
+        assert load_summary_envelope(envelope) is None
+        envelope["harvest"] = {"seeds": {"helper": [pair]}, "exits": []}
+        assert load_summary_envelope(envelope) is None
+        envelope["harvest"] = {"seeds": {"helper": "[]"}, "exits": []}
+        assert load_summary_envelope(envelope) is None
+        text = '[["g",[],false],["x",[],false]]'
+        envelope["harvest"] = {
+            "seeds": {"helper": [text]},
+            "exits": [f"[[],{text},true]"],
+        }
+        assert load_summary_envelope(envelope) is not None
+
     def test_malformed_envelope_is_a_miss(self):
         assert load_summary_envelope({}) is None
         assert load_summary_envelope({"schema": SUMMARY_ENTRY_SCHEMA}) is None

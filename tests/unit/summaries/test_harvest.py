@@ -1,15 +1,16 @@
 """The summary engine's harvest and barrier against an object-level
 reference.
 
-``ProcSolver.harvest`` reads the kernel's id columns and carries each
-item's canonical text into the barrier, which dedups and sorts by those
-texts.  The reference below decodes every fact at the entry and exit
-nodes into objects, encodes each item anew wherever it is compared, and
-runs the round barrier over those encodings.  After every drain the
-engine's harvest must equal the reference harvest, its texts must be
-the canonical encodings of its items, and each procedure's
-``inputs_digest`` — the per-drain half of every cache key — must equal
-the digest the reference schedule folds.
+``ProcSolver.harvest`` reads the kernel's id columns and returns each
+item as its canonical text; the barrier dedups and sorts those texts and
+joins each delta from them.  The reference below decodes every fact at
+the entry and exit nodes into objects, encodes each item anew wherever
+it is compared, runs the round barrier over those objects and hands
+``inject`` the canonical encoding of each delta.  After every drain each
+harvest text must equal the canonical encoding of the matching
+reference item, and each procedure's ``inputs_digest`` — the per-drain
+half of every cache key — must equal the digest the reference schedule
+folds.
 """
 
 import hashlib
@@ -99,7 +100,7 @@ def _reference_drains(analyzed, icfg, k):
             ).hexdigest()
             if proc in cold:
                 solver.cold_start()
-            solver.inject(delta)
+            solver.inject(_canon(delta))
             assert solver.drain(None)
             harvests[proc] = _reference_harvest(solver)
             drains.append((proc, digests[proc]))
@@ -144,11 +145,14 @@ def _engine_drains(analyzed, icfg, k, monkeypatch):
 
     def checked_drain(self, deadline_remaining):
         ok = original(self, deadline_remaining)
-        with_texts = self.harvest_with_texts()
-        for items in with_texts["seeds"].values():
-            assert all(text == _canon(pj) for text, pj in items)
-        assert all(text == _canon(entry) for text, entry in with_texts["exits"])
-        assert self.harvest() == _reference_harvest(self)
+        reference = _reference_harvest(self)
+        assert self.harvest() == {
+            "seeds": {
+                callee: [_canon(pj) for pj in pairs]
+                for callee, pairs in reference["seeds"].items()
+            },
+            "exits": [_canon(entry) for entry in reference["exits"]],
+        }
         drains.append((self.proc, self.inputs_digest))
         return ok
 
@@ -210,8 +214,9 @@ def test_lowered_c_harvests_and_digests_match_reference(filename, monkeypatch):
 
 
 def test_warm_solve_folds_the_cold_digests(tmp_path):
-    """A cache hit's harvest is re-encoded at the barrier; the deltas it
-    feeds must fold to the same digests, so every later lookup hits."""
+    """A cache hit's harvest texts come straight from its envelope; the
+    deltas they feed must fold to the same digests, so every later
+    lookup hits."""
     analyzed, icfg = _parsed(
         generate_program(ProgramSpec("harvest-seed2", seed=2))
     )
