@@ -106,10 +106,13 @@ class _PoolState:
 
 
 def _terminate_pool(executor: ProcessPoolExecutor) -> None:
-    """Shut a pool down without waiting on wedged workers."""
+    """Shut a pool down without waiting on wedged workers.  The workers
+    are read first: ``shutdown`` forgets them (CPython sets
+    ``_processes`` to None), and a wedged one would otherwise outlive
+    the run and hold up the interpreter's exit."""
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     executor.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.terminate()
         except Exception:

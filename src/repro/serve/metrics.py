@@ -52,6 +52,10 @@ class ServeMetrics:
         self.solves_total = 0
         self.post_edit_solves = 0
         self.scoped_post_edit_solves = 0
+        # Segments post-edit solves took over from the solution they
+        # replace, and segments they built.
+        self.post_edit_segments_reused = 0
+        self.post_edit_segments_built = 0
         self.invalidated_procs_total = 0
         self.replayed_procs_total = 0
         self.queries_total = 0
@@ -144,6 +148,8 @@ class ServeMetrics:
                 "post_edit_solves": post,
                 "scoped_post_edit_solves": scoped,
                 "edit_scoped_ratio": (scoped / post) if post else None,
+                "post_edit_segments_reused": self.post_edit_segments_reused,
+                "post_edit_segments_built": self.post_edit_segments_built,
                 "invalidated_procs_total": self.invalidated_procs_total,
                 "replayed_procs_total": self.replayed_procs_total,
                 "queries_total": self.queries_total,

@@ -43,7 +43,6 @@ from ..icfg.ir import Node
 from ..lint.engine import LintInput, run_lint
 from ..lint.findings import LintReport
 from ..names.object_names import ObjectName
-from ..summaries.envelope import proc_environment_text, proc_program_texts
 from ..summaries.solver import SummaryAnalysis
 from .metrics import ServeMetrics
 
@@ -242,6 +241,7 @@ class ServeSession:
             deadline_seconds=self.deadline_seconds,
             jobs=self.jobs,
             cache=self.cache,
+            previous=doc.solution,
         )
         store = analysis.run()
         solution = MayAliasSolution(
@@ -255,11 +255,9 @@ class ServeSession:
             budget=analysis.budget,
         )
 
-        new_env = _sha(proc_environment_text(analyzed))
-        new_hashes = {
-            proc: _sha(body)
-            for proc, body in proc_program_texts(analyzed).items()
-        }
+        env_text, texts = analysis.program_texts()
+        new_env = _sha(env_text)
+        new_hashes = {proc: _sha(body) for proc, body in texts.items()}
         self._record_invalidation(doc, version, new_env, new_hashes, analysis)
 
         doc.parse_error = None
@@ -290,6 +288,8 @@ class ServeSession:
             "rounds": analysis.rounds,
             "cache_hits": analysis.cache_hits,
             "cache_misses": analysis.cache_misses,
+            "segments_reused": analysis.segments_reused,
+            "segments_built": analysis.segments_built,
         }
         previous = doc.proc_hashes
         if previous is not None:
@@ -307,6 +307,8 @@ class ServeSession:
             metrics.post_edit_solves += 1
             if scoped:
                 metrics.scoped_post_edit_solves += 1
+            metrics.post_edit_segments_reused += analysis.segments_reused
+            metrics.post_edit_segments_built += analysis.segments_built
             detail["edited_procs"] = sorted(edited)
             detail["scoped"] = scoped
         metrics.invalidated_procs_total += len(miss_procs)

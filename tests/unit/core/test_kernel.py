@@ -275,7 +275,11 @@ class TestPerNodeIndexes:
         icfg = build_icfg(analyzed)
         store = SummaryAnalysis(analyzed, icfg, k=1).run()
         assert len(store) > 0
-        merged = store._kernel
+        # The summary store packs its segments through a query-only
+        # kernel (owned_nodes=frozenset()); load the payload into one.
+        merged = KernelAnalysis(analyzed, icfg, k=1, owned_nodes=frozenset())
+        merged.load_packed(store.packed_json())
+        assert len(merged.store) == len(store)
         assert not any(merged._by_node_base)
         assert not any(merged._by_node_assumed)
 

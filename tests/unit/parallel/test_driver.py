@@ -5,6 +5,7 @@ Workers are module-level so they pickle under both ``fork`` and
 hard case a plain exception handler can't see.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -96,6 +97,7 @@ class TestCrashIsolation:
 
 class TestGlobalDeadline:
     def test_deadline_degrades_the_slow_unit_without_hanging(self):
+        before = set(multiprocessing.active_children())
         started = time.perf_counter()
         outcomes = run_sharded(sleep_on_one, [0, 1, 2], jobs=2, timeout=3.0)
         elapsed = time.perf_counter() - started
@@ -103,3 +105,12 @@ class TestGlobalDeadline:
         assert outcomes[1].status == STATUS_TIMEOUT
         done = [o for o in outcomes if o.ok]
         assert all(o.value in (0, 2) for o in done)
+        # The force-terminate reaches the wedged worker: no pool worker
+        # outlives the run by more than a few seconds.
+        settle_at = time.perf_counter() + 5.0
+        while time.perf_counter() < settle_at:
+            workers = set(multiprocessing.active_children()) - before
+            if not workers:
+                break
+            time.sleep(0.1)
+        assert not workers, f"pool workers still alive: {workers}"
