@@ -95,8 +95,8 @@ def solution_to_dict(
     full observability record.
 
     ``packed=True`` additionally asks for the version-3 columnar
-    encoding (``"packed"`` replaces the per-fact ``"facts"`` list) when
-    the solution is kernel-backed — base64 int columns copied straight
+    encoding (``"packed"`` replaces the per-fact ``"facts"`` list) for
+    kernel and summary solutions — base64 int columns copied straight
     off the store's arrays, which is what keeps the result cache's
     serialization overhead a fraction of the solve instead of a
     multiple of it.  Reference-engine solutions have no flat columns
@@ -125,10 +125,10 @@ def solution_to_dict(
             document["phases"] = solution.phases.as_dict()
             document["analysis_seconds"] = solution.analysis_seconds
         return document
-    # The kernel store serializes straight off its flat ID columns
-    # (pair/assumption fragments encoded once per id, not once per
-    # fact); the reference store walks the object graph.  Both produce
-    # the same dicts in the same (insertion) order.
+    # The kernel and summary stores serialize straight off their flat
+    # ID columns (pair/assumption fragments encoded once per id, not
+    # once per fact); the reference store walks the object graph.  All
+    # produce the same dicts in the same (insertion) order.
     fast = getattr(solution.store, "facts_json", None)
     if fast is not None:
         facts = fast()

@@ -6,8 +6,10 @@ invalidates everything.  The summary engine's unit of work is one
 drain of one procedure's restricted kernel, and that drain depends on
 exactly:
 
-* the shared declaration environment (structs, typedefs, globals, and
-  every function's signature — signatures bind call sites),
+* the shared declaration environment (structs, typedefs, globals,
+  every function's signature — signatures bind call sites — and which
+  declared functions have no body, which decides how a call is
+  lowered),
 * the procedure's own canonical body text,
 * the k-limit and engine code version,
 * the exact sequence of inputs injected so far (entry-seed pairs from
@@ -55,8 +57,15 @@ def proc_environment_text(analyzed: AnalyzedProgram) -> str:
     """The declaration environment every procedure's solve reads: all
     non-function top-levels plus each function's *signature* (printed
     as a prototype).  Bodies are deliberately absent — they are keyed
-    per procedure."""
+    per procedure — but whether a declared function has one is not: a
+    call to a function without a body is lowered to one node instead of
+    a CALL/RETURN pair, which moves every later node of the caller.  So
+    the names of the functions declared without a body close the text;
+    a program that defines every function it declares keeps the plain
+    prototype text, and with it its keys."""
     decls = []
+    defined = {fn.name for fn in analyzed.functions}
+    bodiless = set()
     for decl in analyzed.ast.decls:
         if isinstance(decl, FuncDef):
             decls.append(
@@ -64,7 +73,12 @@ def proc_environment_text(analyzed: AnalyzedProgram) -> str:
             )
         else:
             decls.append(decl)
-    return print_program(Program(decls=decls))
+            if isinstance(decl, FuncDecl) and decl.name not in defined:
+                bodiless.add(decl.name)
+    text = print_program(Program(decls=decls))
+    if bodiless:
+        text += "/* no body: " + " ".join(sorted(bodiless)) + " */\n"
+    return text
 
 
 def proc_program_texts(analyzed: AnalyzedProgram) -> dict[str, str]:

@@ -25,6 +25,16 @@ SOURCE_HELPER_EDITED = SOURCE.replace("{ g = &x; }", "{ g = &x; g = g; }")
 #: a global added: the shared environment changed for *everyone*.
 SOURCE_NEW_GLOBAL = SOURCE.replace("int *g; int x;", "int *g, *h; int x;")
 
+#: ``h`` calls ``f`` before its pointer store.  Without ``f``'s body the
+#: call is one node instead of a CALL/RETURN pair, so every later node
+#: of ``h`` moves, though ``h``'s text and every signature are the same.
+CALLS_F = (
+    "int *g; int y; void f(void) { y = 1; } "
+    "void h(void) { int x; f(); g = &x; } "
+    "int main(void) { h(); return 0; }"
+)
+CALLS_F_DECLARED = CALLS_F.replace("void f(void) { y = 1; }", "void f(void);")
+
 
 def _keys(source, k=3):
     analyzed = parse_and_analyze(source)
@@ -51,6 +61,22 @@ class TestProcKeys:
         widened = _keys(SOURCE_NEW_GLOBAL)
         assert base["helper"] != widened["helper"]
         assert base["main"] != widened["main"]
+
+    def test_removing_a_called_body_changes_every_key(self):
+        defined = _keys(CALLS_F)
+        declared = _keys(CALLS_F_DECLARED)
+        assert declared.keys() == {"h", "main"}
+        for proc, key in declared.items():
+            assert defined[proc] != key
+
+    def test_a_program_that_defines_what_it_declares_keeps_its_text(self):
+        # Only a function declared without a body adds to the
+        # environment text, so the keys of every other program stay.
+        assert proc_environment_text(parse_and_analyze(SOURCE)) == (
+            "int *g;\n\nint x;\n\nvoid helper(void);\n\nint main(void);\n"
+        )
+        forward = "void helper(void);\n" + SOURCE
+        assert "no body" not in proc_environment_text(parse_and_analyze(forward))
 
     def test_k_and_code_version_change_the_key(self):
         analyzed = parse_and_analyze(SOURCE)
