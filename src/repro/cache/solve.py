@@ -26,7 +26,7 @@ from ..core.solution import MayAliasSolution
 from ..frontend.semantics import AnalyzedProgram, parse_and_analyze
 from ..icfg.builder import build_icfg
 from ..icfg.graph import ICFG
-from ..io import facts_json_from_document, rebuild_solution, solution_to_dict
+from ..io import document_store, rebuild_solution, solution_to_dict
 from .keys import (
     ENGINE_CODE_VERSION,
     canonical_program_text,
@@ -247,34 +247,18 @@ def verify_cache(
         if not fresh.complete:
             problems.append(f"{path.name}: re-solve hit its budget")
             continue
-        fresh_doc = solution_to_dict(fresh)
-        stored_facts = _fact_set(stored)
-        fresh_facts = _fact_set(fresh_doc)
+        try:
+            stored_facts = dict(document_store(stored).facts())
+        except (KeyError, TypeError, ValueError):
+            problems.append(f"{path.name}: malformed stored solution")
+            continue
+        fresh_facts = dict(fresh.store.facts())
         if stored_facts != fresh_facts:
-            missing = len(stored_facts - fresh_facts)
-            extra = len(fresh_facts - stored_facts)
+            missing = len(stored_facts.items() - fresh_facts.items())
+            extra = len(fresh_facts.items() - stored_facts.items())
             problems.append(
                 f"{path.name}: solution drift — {missing} stored facts "
                 f"not re-derived, {extra} new facts"
             )
     return checked, problems
 
-
-def _fact_set(document: dict) -> set[tuple]:
-    """Hashable view of a serialized solution's facts (any version —
-    packed documents are expanded first)."""
-
-    def freeze(value: object) -> object:
-        if isinstance(value, list):
-            return tuple(freeze(item) for item in value)
-        return value
-
-    return {
-        (
-            fact["node"],
-            freeze(fact["assume"]),
-            freeze(fact["pair"]),
-            fact["clean"],
-        )
-        for fact in facts_json_from_document(document)
-    }

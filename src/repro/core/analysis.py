@@ -61,6 +61,38 @@ class BudgetExceeded(RuntimeError):
         self.reason = solution.budget.reason
 
 
+def finish_solution(
+    analysis, store, started: float, on_budget: str = "partial"
+) -> MayAliasSolution:
+    """Wrap the finished ``analysis`` of any engine, whose run returned
+    ``store`` and began at ``started`` (a ``time.perf_counter()``
+    reading), in a :class:`MayAliasSolution`.  With ``on_budget="raise"``
+    a budget-partial run raises :class:`BudgetExceeded` instead."""
+    budget = analysis.budget
+    solution = MayAliasSolution(
+        analysis.icfg,
+        store,
+        analysis.ctx,
+        analysis.k,
+        analysis_seconds=time.perf_counter() - started,
+        engine=analysis.engine_report(),
+        phases=analysis.timer,
+        budget=budget,
+    )
+    if budget.exceeded and on_budget == "raise":
+        limit = (
+            f"max_facts={budget.max_facts}"
+            if budget.reason == "max_facts"
+            else f"deadline={budget.deadline_seconds}s"
+        )
+        raise BudgetExceeded(
+            f"analysis exceeded {limit} ({len(store)} facts; "
+            "partial all-tainted solution attached)",
+            solution,
+        )
+    return solution
+
+
 def analyze_program(
     analyzed: AnalyzedProgram,
     icfg: Optional[ICFG] = None,
@@ -106,30 +138,7 @@ def analyze_program(
         deadline_seconds=deadline_seconds,
         timer=timer,
     )
-    store = analysis.run()
-    elapsed = time.perf_counter() - start
-    solution = MayAliasSolution(
-        icfg,
-        store,
-        analysis.ctx,
-        k,
-        analysis_seconds=elapsed,
-        engine=analysis.engine_report(),
-        phases=timer,
-        budget=analysis.budget,
-    )
-    if analysis.budget.exceeded and on_budget == "raise":
-        limit = (
-            f"max_facts={max_facts}"
-            if analysis.budget.reason == "max_facts"
-            else f"deadline={deadline_seconds}s"
-        )
-        raise BudgetExceeded(
-            f"analysis exceeded {limit} ({len(store)} facts; "
-            "partial all-tainted solution attached)",
-            solution,
-        )
-    return solution
+    return finish_solution(analysis, analysis.run(), start, on_budget)
 
 
 def analyze_source(

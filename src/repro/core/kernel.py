@@ -66,13 +66,10 @@ The reference engine remains the executable specification: it runs via
 
 from __future__ import annotations
 
-import base64
-import sys
 import time
 from array import array
 from collections import deque
-from itertools import compress
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..frontend.semantics import AnalyzedProgram
 from ..icfg.graph import ICFG
@@ -90,6 +87,7 @@ from ..names.object_names import (
 from . import assumptions
 from .assumptions import Assumption
 from .bind import BoundAlias, CallBinder
+from .columns import _PACK_TYPECODE, _SHIFT, ColumnStore, FactColumns
 from .metrics import (
     PHASE_INIT,
     PHASE_POST,
@@ -98,214 +96,14 @@ from .metrics import (
     EngineReport,
     PhaseTimer,
 )
-from .store import PairCounts, StoreStats
+from .store import StoreStats
 from .transfer import RhsView, _prefixes, _transplant_onto
 
-# Packed-key shift: ids are dense and stay far below 2**32 (the fact
-# budget caps total facts long before that).
-_SHIFT = 32
 _LOW = (1 << _SHIFT) - 1
 _MISSING = object()
 
 # Mirrors worklist._DEADLINE_CHECK_EVERY.
 _DEADLINE_CHECK_EVERY = 256
-
-#: Layout tag of the columnar cache payload (see KernelStore.packed_json).
-PACKED_LAYOUT = "kernel-packed/1"
-
-# 4-byte ints everywhere C int is 32 bits (ids stay below 2**31 — the
-# fact budget caps them long before); 'q' is the guaranteed fallback.
-_PACK_TYPECODE = "i" if array("i").itemsize == 4 else "q"
-
-
-def encode_int_column(values) -> dict:
-    """One id column → ``{"itemsize", "b64"}`` (signed ints, native byte
-    order; the document records width and order so any reader can
-    reconstruct).  The kernel's own columns already have the packed
-    item type, so their bytes are copied as they are."""
-    if not (isinstance(values, array) and values.typecode == _PACK_TYPECODE):
-        values = array(_PACK_TYPECODE, values)
-    return {
-        "itemsize": values.itemsize,
-        "b64": base64.b64encode(values).decode("ascii"),
-    }
-
-
-def decode_int_column(column: dict, byteorder: str) -> array:
-    """Inverse of :func:`encode_int_column`."""
-    itemsize = int(column["itemsize"])
-    raw = base64.b64decode(column["b64"])
-    if len(raw) % itemsize:
-        raise ValueError("packed column length is not a whole item count")
-    for typecode in ("i", "l", "q"):
-        if array(typecode).itemsize == itemsize:
-            out = array(typecode)
-            out.frombytes(raw)
-            if byteorder != sys.byteorder:
-                out.byteswap()
-            return out
-    # pragma: no cover - no native type of that width on this platform
-    step = itemsize
-    return array(
-        "q",
-        (
-            int.from_bytes(raw[i : i + step], byteorder, signed=True)
-            for i in range(0, len(raw), step)
-        ),
-    )
-
-
-class FactColumns(NamedTuple):
-    """A kernel store's tables and facts as columns, with the pair and
-    assumption tables as objects: what :meth:`KernelAnalysis.absorb`
-    replays and what a summary segment is built from.  A live kernel
-    lends its own (:meth:`KernelStore.columns`); a packed payload is
-    decoded into one by :func:`decode_packed`."""
-
-    names: Sequence[ObjectName]
-    pair_first: Sequence[int]
-    pair_second: Sequence[int]
-    pairs: Sequence[AliasPair]
-    aas: Sequence[Assumption]
-    entry_aa: Sequence[int]
-    entry_pair: Sequence[int]
-    fact_node: Sequence[int]
-    fact_entry: Sequence[int]
-    taint: bytes | bytearray
-
-
-def _b64_length(text: str) -> int:
-    """The byte length ``text`` decodes to, read off its length and
-    padding (ValueError when no base64 encoding has that length)."""
-    if len(text) % 4:
-        raise ValueError("packed column is not whole base64 quads")
-    tail = text[-2:]
-    return len(text) // 4 * 3 - (len(tail) - len(tail.rstrip("=")))
-
-
-def check_packed(packed: dict) -> None:
-    """Raise ValueError unless every column of a
-    :meth:`KernelStore.packed_json` payload has the length its item
-    size and the payload's counts call for.  Nothing is decoded, so a
-    cache hit can be checked at lookup and still be decoded once, when
-    it is first read."""
-    if packed.get("layout") != PACKED_LAYOUT:
-        raise ValueError(f"unknown packed layout {packed.get('layout')!r}")
-    count = int(packed["count"])
-    if _b64_length(packed["taint"]) != count:
-        raise ValueError("packed taint column disagrees with the count")
-    lengths = {}
-    for name in (
-        "pair_first",
-        "pair_second",
-        "entry_aa",
-        "entry_pair",
-        "fact_node",
-        "fact_entry",
-    ):
-        column = packed[name]
-        itemsize = int(column["itemsize"])
-        if itemsize not in (4, 8):
-            raise ValueError(f"unsupported packed item size {itemsize}")
-        size, rest = divmod(_b64_length(column["b64"]), itemsize)
-        if rest:
-            raise ValueError("packed column length is not a whole item count")
-        lengths[name] = size
-    if not (
-        lengths["pair_first"] == lengths["pair_second"]
-        and lengths["entry_aa"] == lengths["entry_pair"]
-        and lengths["fact_node"] == lengths["fact_entry"] == count
-    ):
-        raise ValueError("packed columns disagree on length")
-
-
-def _check_ids(ids: Sequence[int], bound: int, what: str) -> None:
-    """Raise ValueError unless every id in ``ids`` indexes a table of
-    ``bound`` items (a negative one would read from the table's end)."""
-    if ids and (min(ids) < 0 or max(ids) >= bound):
-        raise ValueError(f"packed {what} id out of range")
-
-
-def decode_packed(
-    packed: dict, node_ids: Optional[Sequence[int]] = None
-) -> FactColumns:
-    """The columns of a :meth:`KernelStore.packed_json` payload.  With
-    ``node_ids`` the node column holds indexes into it (the summary
-    engine's portable node tokens, resolved by the caller) and is read
-    as the node ids they stand for.  Every id that indexes a table of
-    the payload (or ``node_ids``) is range-checked: a payload that does
-    not decode raises ValueError."""
-    if packed.get("layout") != PACKED_LAYOUT:
-        raise ValueError(f"unknown packed layout {packed.get('layout')!r}")
-    byteorder = packed["byteorder"]
-    names = [
-        ObjectName(base, tuple(selectors), bool(truncated))
-        for base, selectors, truncated in packed["names"]
-    ]
-    pair_first = decode_int_column(packed["pair_first"], byteorder)
-    pair_second = decode_int_column(packed["pair_second"], byteorder)
-    _check_ids(pair_first, len(names), "name")
-    _check_ids(pair_second, len(names), "name")
-    pairs = [
-        AliasPair(names[first], names[second])
-        for first, second in zip(pair_first, pair_second)
-    ]
-    aas = []
-    for pair_ids in packed["aas"]:
-        _check_ids(pair_ids, len(pairs), "pair")
-        aas.append(tuple(pairs[p] for p in pair_ids))
-    entry_aa = decode_int_column(packed["entry_aa"], byteorder)
-    entry_pair = decode_int_column(packed["entry_pair"], byteorder)
-    if len(entry_aa) != len(entry_pair):
-        raise ValueError("packed entry columns disagree on length")
-    _check_ids(entry_aa, len(aas), "assumption")
-    _check_ids(entry_pair, len(pairs), "pair")
-    fact_node: Sequence[int] = decode_int_column(packed["fact_node"], byteorder)
-    if node_ids is not None:
-        _check_ids(fact_node, len(node_ids), "node token")
-        fact_node = list(map(node_ids.__getitem__, fact_node))
-    fact_entry = decode_int_column(packed["fact_entry"], byteorder)
-    _check_ids(fact_entry, len(entry_aa), "entry")
-    columns = FactColumns(
-        names=names,
-        pair_first=pair_first,
-        pair_second=pair_second,
-        pairs=pairs,
-        aas=aas,
-        entry_aa=entry_aa,
-        entry_pair=entry_pair,
-        fact_node=fact_node,
-        fact_entry=fact_entry,
-        taint=base64.b64decode(packed["taint"]),
-    )
-    count = int(packed["count"])
-    if not (
-        len(columns.fact_node)
-        == len(columns.fact_entry)
-        == len(columns.taint)
-        == count
-    ):
-        raise ValueError("packed fact columns disagree on length")
-    return columns
-
-
-def node_partners(
-    bucket: Optional[list[int]],
-    name_id: int,
-    entry_pair: Sequence[int],
-    pair_first: Sequence[int],
-    pair_second: Sequence[int],
-    names: Sequence[ObjectName],
-) -> set[ObjectName]:
-    """The partners of name ``name_id`` in the pairs of one per-node
-    name-index bucket (entry ids), read off the id tables."""
-    if not bucket:
-        return set()
-    out = set()
-    for pid in {entry_pair[e] for e in bucket}:
-        member = pair_first[pid]
-        out.add(names[pair_second[pid] if member == name_id else member])
-    return out
 
 
 def _slot_taint(slot: list[int], taint: bytearray) -> int:
@@ -432,286 +230,6 @@ class _CallTable:
         self.bind_pair_memo: dict[int, tuple] = {}
         # incoming pair id -> Rule 1 applies?
         self.both_inv_memo: dict[int, bool] = {}
-
-
-class KernelStore:
-    """Object-level view over the kernel's flat fact columns.
-
-    Implements the full :class:`~repro.core.store.MayHoldStore` query
-    surface (decoding ids lazily), so :class:`MayAliasSolution` and
-    every client analysis work unchanged on kernel runs.  ``make_true``
-    accepts object-level triples — the summary engine uses it to inject
-    mirrored callee exit facts into a procedure's kernel.
-    """
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "KernelAnalysis") -> None:
-        self._kernel = kernel
-
-    @property
-    def stats(self) -> StoreStats:
-        return self._kernel.stats
-
-    # -- queries (MayHoldStore-compatible) ---------------------------------
-
-    def _entry_of(
-        self, assumption: Assumption, pair: AliasPair
-    ) -> Optional[int]:
-        k = self._kernel
-        aa_id = k._aa_ids.get(assumption)
-        if aa_id is None:
-            return None
-        pid = k._pair_ids.get(pair)
-        if pid is None:
-            return None
-        return k._entry_ids.get((aa_id << _SHIFT) | pid)
-
-    def holds(self, nid: int, assumption: Assumption, pair: AliasPair) -> bool:
-        eid = self._entry_of(assumption, pair)
-        if eid is None:
-            return False
-        return ((eid << _SHIFT) | nid) in self._kernel._fact_ids
-
-    def is_clean(self, nid: int, assumption: Assumption, pair: AliasPair) -> bool:
-        eid = self._entry_of(assumption, pair)
-        if eid is None:
-            return False
-        fid = self._kernel._fact_ids.get((eid << _SHIFT) | nid)
-        if fid is None:
-            return False
-        return bool(self._kernel._taint[fid])
-
-    def taint_of(self, nid: int, assumption: Assumption, pair: AliasPair) -> bool:
-        eid = self._entry_of(assumption, pair)
-        if eid is None:
-            raise KeyError((nid, assumption, pair))
-        fid = self._kernel._fact_ids[(eid << _SHIFT) | nid]
-        return bool(self._kernel._taint[fid])
-
-    def _decode_bucket(
-        self, eids: Optional[list]
-    ) -> Iterator[tuple[Assumption, AliasPair]]:
-        if not eids:
-            return iter(())
-        k = self._kernel
-        return iter(
-            tuple(
-                (k._aas[k._entry_aa[e]], k._pairs[k._entry_pair[e]])
-                for e in eids
-            )
-        )
-
-    def at_node(self, nid: int) -> Iterator[tuple[Assumption, AliasPair]]:
-        return self._decode_bucket(self._kernel._by_node[nid])
-
-    def at_node_with_name(
-        self, nid: int, name: ObjectName
-    ) -> Iterator[tuple[Assumption, AliasPair]]:
-        k = self._kernel
-        name_id = k._name_ids.get(name)
-        if name_id is None:
-            return iter(())
-        return self._decode_bucket(k._by_node_name[nid].get(name_id))
-
-    def at_node_with_base(
-        self, nid: int, base: str
-    ) -> Iterator[tuple[Assumption, AliasPair]]:
-        """Filters ``_by_node``: the base index is kept only at the
-        nodes the transfer rule reads it at."""
-        k = self._kernel
-        names, entry_pair = k._names, k._entry_pair
-        first, second = k._pair_first, k._pair_second
-        return self._decode_bucket(
-            [
-                eid
-                for eid in k._by_node[nid]
-                if names[first[entry_pair[eid]]].base == base
-                or names[second[entry_pair[eid]]].base == base
-            ]
-        )
-
-    def at_node_assuming(
-        self, nid: int, assumed: AliasPair
-    ) -> Iterator[tuple[Assumption, AliasPair]]:
-        """Filters ``_by_node``, like :meth:`at_node_with_base`."""
-        k = self._kernel
-        pid = k._pair_ids.get(assumed)
-        if pid is None:
-            return iter(())
-        aa_pairs, entry_aa = k._aa_index_pairs, k._entry_aa
-        return self._decode_bucket(
-            [eid for eid in k._by_node[nid] if pid in aa_pairs[entry_aa[eid]]]
-        )
-
-    def __len__(self) -> int:
-        return len(self._kernel._fact_node)
-
-    def facts(self) -> Iterator[tuple[tuple, bool]]:
-        """Every (triple, taint) item, in fact-insertion order (the
-        kernel's own creation order; see the module docstring for why
-        this can differ from the reference engine's)."""
-        k = self._kernel
-        aas, pairs = k._aas, k._pairs
-        entry_aa, entry_pair = k._entry_aa, k._entry_pair
-        taint = k._taint
-        for fid, nid in enumerate(k._fact_node):
-            eid = k._fact_entry[fid]
-            yield (
-                (nid, aas[entry_aa[eid]], pairs[entry_pair[eid]]),
-                bool(taint[fid]),
-            )
-
-    def facts_json(self) -> list[dict]:
-        """Fast serialization straight off the flat columns: the same
-        per-fact dicts :func:`repro.io.solution_to_dict` builds, with
-        the pair/assumption JSON fragments computed once per id and
-        shared across facts instead of re-encoded per fact."""
-        from ..io import pair_to_json
-
-        k = self._kernel
-        pair_json: list = [None] * len(k._pairs)
-        aa_json: list = [None] * len(k._aas)
-        entry_aa, entry_pair = k._entry_aa, k._entry_pair
-        taint = k._taint
-        out: list[dict] = []
-        for fid, nid in enumerate(k._fact_node):
-            eid = k._fact_entry[fid]
-            pid = entry_pair[eid]
-            pj = pair_json[pid]
-            if pj is None:
-                pj = pair_json[pid] = pair_to_json(k._pairs[pid])
-            aid = entry_aa[eid]
-            aj = aa_json[aid]
-            if aj is None:
-                aj = aa_json[aid] = [
-                    pair_to_json(a) for a in k._aas[aid]
-                ]
-            out.append(
-                {
-                    "node": nid,
-                    "assume": aj,
-                    "pair": pj,
-                    "clean": bool(taint[fid]),
-                }
-            )
-        return out
-
-    def columns(self) -> FactColumns:
-        """The kernel's own tables and fact columns, not copies: absorb
-        them into another kernel, never into this one."""
-        k = self._kernel
-        return FactColumns(
-            k._names,
-            k._pair_first,
-            k._pair_second,
-            k._pairs,
-            k._aas,
-            k._entry_aa,
-            k._entry_pair,
-            k._fact_node,
-            k._fact_entry,
-            k._taint,
-        )
-
-    def packed_json(self, fact_node: Optional[Sequence[int]] = None) -> dict:
-        """Columnar encoding of the interning tables and fact columns —
-        the ``kernel-packed/1`` payload of a version-3 solution document
-        (what the result cache persists).  ``fact_node`` replaces the
-        node column; the summary engine's portable state stores stable
-        node tokens there.
-
-        The hot data — one (node, entry) row per fact plus the
-        entry/pair id tables — ships as base64 int columns copied
-        straight out of the arrays; only the name table (small: ids are
-        shared across every pair) is object-encoded.  Serializing
-        scale800's ~480k facts this way is ~100× smaller work than the
-        per-fact dict encoding of :meth:`facts_json`, and
-        :meth:`KernelAnalysis.load_packed` rebuilds a queryable store
-        from it without replaying the analysis."""
-        k = self._kernel
-        return {
-            "layout": PACKED_LAYOUT,
-            "byteorder": sys.byteorder,
-            "count": len(k._fact_node),
-            "names": [
-                [n.base, list(n.selectors), n.truncated] for n in k._names
-            ],
-            "pair_first": encode_int_column(k._pair_first),
-            "pair_second": encode_int_column(k._pair_second),
-            "aas": [list(pair_ids) for pair_ids in k._aa_pairs],
-            "entry_aa": encode_int_column(k._entry_aa),
-            "entry_pair": encode_int_column(k._entry_pair),
-            "fact_node": encode_int_column(
-                k._fact_node if fact_node is None else fact_node
-            ),
-            "fact_entry": encode_int_column(k._fact_entry),
-            "taint": base64.b64encode(bytes(k._taint)).decode("ascii"),
-        }
-
-    def pairs_at(self, nid: int) -> set[AliasPair]:
-        k = self._kernel
-        return {k._pairs[k._entry_pair[e]] for e in k._by_node[nid]}
-
-    def partners(self, nid: int, name: ObjectName) -> set[ObjectName]:
-        """Exact partners of ``name`` at ``nid``, read as name ids off
-        its ``_by_node_name`` bucket."""
-        k = self._kernel
-        name_id = k._name_ids.get(name)
-        if name_id is None:
-            return set()
-        return node_partners(
-            k._by_node_name[nid].get(name_id),
-            name_id,
-            k._entry_pair,
-            k._pair_first,
-            k._pair_second,
-            k._names,
-        )
-
-    def pair_counts(self) -> PairCounts:
-        """The aggregates straight off the fact columns: each fact maps
-        to a (pair id, node) key, and only distinct pair ids are
-        decoded."""
-        k = self._kernel
-        entry_pair = k._entry_pair
-        node_pairs = {
-            (entry_pair[e] << _SHIFT) | nid
-            for nid, e in zip(k._fact_node, k._fact_entry)
-        }
-        clean = {
-            (entry_pair[e] << _SHIFT) | nid
-            for nid, e in compress(zip(k._fact_node, k._fact_entry), k._taint)
-        }
-        pairs = k._pairs
-        return PairCounts(
-            len(node_pairs),
-            len(clean),
-            {pairs[pid] for pid in {key >> _SHIFT for key in node_pairs}},
-        )
-
-    # -- updates ------------------------------------------------------------
-
-    def make_true(
-        self, nid: int, assumption: Assumption, pair: AliasPair, clean: bool
-    ) -> bool:
-        k = self._kernel
-        return k._make_true(
-            nid, k._aa_id(assumption), k._pair_id(pair), 1 if clean else 0
-        )
-
-    def taint_all(self) -> int:
-        return self._kernel._taint_all()
-
-    def clear_worklist(self) -> None:
-        k = self._kernel
-        k._worklist.clear()
-        k._pending = bytearray(len(k._pending))
-        k._popped = bytearray(len(k._popped))
-
-    @property
-    def pending(self) -> int:
-        return len(self._kernel._worklist)
 
 
 class KernelAnalysis:
@@ -884,13 +402,22 @@ class KernelAnalysis:
         for ct in self._call_tables.values():
             self._by_node_assumed[ct.exit_nid] = {}
 
-    @property
-    def store(self) -> KernelStore:
-        """A query view over this kernel, made on each access.  The view
-        points at the kernel and never the reverse, so a dropped
-        solution frees its kernel at once instead of at the next full
-        garbage collection (DESIGN.md §5b)."""
-        return KernelStore(self)
+    def columns(self) -> FactColumns:
+        """This kernel's own tables and fact columns, not copies: absorb
+        them into another kernel, never into this one."""
+        return FactColumns(
+            self._names,
+            self._pair_first,
+            self._pair_second,
+            self._pairs,
+            self._aas,
+            self._aa_pairs,
+            self._entry_aa,
+            self._entry_pair,
+            self._fact_node,
+            self._fact_entry,
+            self._taint,
+        )
 
     # -- interning ----------------------------------------------------------
 
@@ -1035,11 +562,15 @@ class KernelAnalysis:
         taint = self._taint
         demoted = taint.count(1)
         self._taint = bytearray(len(taint))
+        self.clear_worklist()
+        self._reset_slot_joins()
+        return demoted
+
+    def clear_worklist(self) -> None:
+        """Drop every queued fact without touching the facts."""
         self._worklist.clear()
         self._pending = bytearray(len(self._pending))
         self._popped = bytearray(len(self._popped))
-        self._reset_slot_joins()
-        return demoted
 
     # -- emission plans ------------------------------------------------------
 
@@ -1129,7 +660,11 @@ class KernelAnalysis:
 
     # -- driver --------------------------------------------------------------
 
-    def run(self) -> KernelStore:
+    def run(self) -> ColumnStore:
+        """Solve and return the finished facts as a :class:`ColumnStore`
+        over this kernel's own columns and per-node lists.  The store
+        never points back at the kernel, so the rest of the kernel's
+        working state is freed with the kernel (DESIGN.md §5b)."""
         with self.timer.phase(PHASE_INIT):
             self._initialize()
         with self.timer.phase(PHASE_PROPAGATE):
@@ -1139,35 +674,17 @@ class KernelAnalysis:
         if self.budget.exceeded:
             with self.timer.phase(PHASE_POST):
                 self.budget.demoted_facts = self._taint_all()
-        return self.store
-
-    def load_packed(self, packed: dict) -> KernelStore:
-        """Bulk-load a :meth:`KernelStore.packed_json` payload into this
-        (fresh, never-run) kernel and return the query-ready store.
-
-        Stored ids are remapped through this kernel's interning tables
-        (``__init__`` already interned the program's own names while
-        compiling transfer tables, so stored ids need not line up), then
-        the fact rows replay through ``_make_true_entry`` so every
-        per-node index is rebuilt exactly as a live run builds it.  The
-        worklist side effects are discarded at the end: the result is a
-        query-only store, nothing left to drain."""
-        if self._fact_node:
-            raise ValueError("load_packed requires a fresh kernel")
-        self.absorb(decode_packed(packed))
-        self.store.clear_worklist()
-        return self.store
+        return ColumnStore.of_kernel(self)
 
     def absorb(self, columns: FactColumns) -> None:
         """Replay another store's fact rows into this kernel through
         :meth:`_make_true_entry`.
 
-        This is :meth:`load_packed` without the decoding, the freshness
-        requirement or the final worklist reset: the summary engine uses
-        it to restore a per-procedure kernel between drains (facts
-        replay in stored order, so every per-node index — and therefore
-        all future behavior — matches the never-packed kernel exactly)
-        and to pack its segments as one whole-program payload.  Counter
+        The summary engine uses it to restore a per-procedure kernel
+        between drains (facts replay in stored order, so every per-node
+        index — and therefore all future behavior — matches the
+        never-packed kernel exactly) and to pack its segments as one
+        whole-program payload.  Counter
         side effects are the caller's problem: replay bumps
         ``stats.facts``/pushes like a live run would, so a restore that
         wants continuous-run counters must snapshot and reinstate them."""

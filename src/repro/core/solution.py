@@ -180,7 +180,7 @@ class MayAliasSolution:
 
 def _program_aliases(counts: PairCounts, include_nonvisible: bool) -> set[AliasPair]:
     if include_nonvisible:
-        return counts.pairs
+        return set(counts.pairs)
     return {pair for pair in counts.pairs if not pair.has_nonvisible}
 
 

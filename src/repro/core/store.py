@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterator, NamedTuple, Optional
 
 from ..names.alias_pairs import AliasPair
 from ..names.object_names import ObjectName
@@ -58,7 +58,7 @@ class PairCounts(NamedTuple):
 
     node_pairs: int  # distinct (node, PA)
     clean_node_pairs: int  # distinct (node, PA) with a CLEAN fact
-    pairs: set[AliasPair]  # distinct PA over every node
+    pairs: AbstractSet[AliasPair]  # distinct PA over every node
 
 
 class MayHoldStore:

@@ -776,6 +776,7 @@ class IcfgBuilder:
             self.icfg.add_proc(proc)
         self.icfg.link_calls()
         self.icfg.validate()
+        self.icfg.string_literals = tuple(self._string_uids)
         return self.icfg
 
     def _global_init_nodes(self, lowerer: _FunctionLowerer) -> list[Node]:

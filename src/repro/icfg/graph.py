@@ -34,6 +34,9 @@ class ICFG:
         self.entry_proc = entry_proc
         self.nodes: list[Node] = []
         self.procs: dict[str, ProcGraph] = {}
+        #: Each string literal's value, in the order of the ``$strN``
+        #: globals the builder numbers them with.
+        self.string_literals: tuple[str, ...] = ()
         self._next_id = 0
 
     # -- construction ---------------------------------------------------------

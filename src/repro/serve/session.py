@@ -18,10 +18,12 @@ into.  Three properties carry the design:
   :class:`~repro.cache.store.SolutionCache`, so the unit of
   re-computation after an edit is one procedure: unchanged procedures
   replay their ``repro-summary-entry/2`` envelopes, and only
-  procedures whose body hash (or input deltas) changed re-solve.  The
-  session diffs per-procedure body hashes across versions and counts a
-  post-edit solve as *scoped* when every cache miss belongs to an
-  edited procedure — the CI gate holds that ratio at >= 90%.
+  procedures whose text (or input deltas) changed re-solve.  A
+  procedure counts as edited when its summary key — the digest of the
+  environment text, its own text and k — differs from the previous
+  solve's, and a post-edit solve is *scoped* when every cache miss
+  belongs to an edited procedure — the CI gate holds that ratio at
+  >= 90%.
 * **One solver lane.**  Sessions are not internally locked; the daemon
   serializes all solving work through a single executor lane (see
   :mod:`repro.serve.daemon`), while deltas land on the event loop.
@@ -30,12 +32,12 @@ into.  Three properties carry the design:
 
 from __future__ import annotations
 
-import hashlib
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
+from ..core.analysis import finish_solution
 from ..core.metrics import EngineReport
 from ..core.solution import MayAliasSolution
 from ..frontend.diagnostics import MiniCError
@@ -49,10 +51,6 @@ from .metrics import ServeMetrics
 
 class QueryError(ValueError):
     """A malformed query (unknown document, unparsable expression)."""
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def parse_object_name(expr: str) -> ObjectName:
@@ -105,8 +103,8 @@ class Document:
     input: Optional[LintInput] = None
     solution: Optional[MayAliasSolution] = None
     parse_error: Optional[str] = None
-    proc_hashes: Optional[dict[str, str]] = None
-    env_hash: Optional[str] = None
+    #: The last solve's per-procedure summary keys.
+    proc_keys: Optional[Mapping[str, str]] = None
     lint_version: int = -1
     lint_report: Optional[LintReport] = None
     #: Serve-specific detail of the last solve (invalidation scope).
@@ -224,8 +222,7 @@ class ServeSession:
             doc.parse_error = str(err)
             doc.solution = None
             doc.input = None
-            doc.proc_hashes = None
-            doc.env_hash = None
+            doc.proc_keys = None
             doc.solved_version = version
             doc.last_solve = {"status": "parse_error", "version": version}
             raise
@@ -243,46 +240,27 @@ class ServeSession:
             cache=self.cache,
             previous=doc.solution,
         )
-        store = analysis.run()
-        solution = MayAliasSolution(
-            icfg,
-            store,
-            analysis.ctx,
-            self.k,
-            analysis_seconds=time.perf_counter() - started,
-            engine=analysis.engine_report(),
-            phases=analysis.timer,
-            budget=analysis.budget,
-        )
-
-        env_text, texts = analysis.program_texts()
-        new_env = _sha(env_text)
-        new_hashes = {proc: _sha(body) for proc, body in texts.items()}
-        self._record_invalidation(doc, version, new_env, new_hashes, analysis)
+        solution = finish_solution(analysis, analysis.run(), started)
+        self._record_invalidation(doc, version, analysis)
 
         doc.parse_error = None
         doc.input = lint_input
         doc.solution = solution
-        doc.proc_hashes = new_hashes
-        doc.env_hash = new_env
+        doc.proc_keys = analysis.proc_keys
         doc.solved_version = version
 
     def _record_invalidation(
-        self,
-        doc: Document,
-        version: int,
-        new_env: str,
-        new_hashes: dict[str, str],
-        analysis: SummaryAnalysis,
+        self, doc: Document, version: int, analysis: SummaryAnalysis
     ) -> None:
         metrics = self.metrics
         metrics.solves_total += 1
         miss_procs = set(analysis.cache_miss_procs)
         hit_procs = set(analysis.cache_hit_procs)
+        keys = analysis.proc_keys
         detail: dict = {
             "status": "ok",
             "version": version,
-            "procs_total": len(new_hashes),
+            "procs_total": len(keys),
             "resolved_procs": sorted(miss_procs),
             "replayed_procs": len(hit_procs),
             "rounds": analysis.rounds,
@@ -291,18 +269,15 @@ class ServeSession:
             "segments_reused": analysis.segments_reused,
             "segments_built": analysis.segments_built,
         }
-        previous = doc.proc_hashes
+        previous = doc.proc_keys
         if previous is not None:
-            if doc.env_hash != new_env:
-                # Environment edits (globals, signatures, types) rekey
-                # every procedure; the whole program is "edited".
-                edited = set(previous) | set(new_hashes)
-            else:
-                edited = {
-                    proc
-                    for proc in set(previous) | set(new_hashes)
-                    if previous.get(proc) != new_hashes.get(proc)
-                }
+            # An environment edit (globals, signatures, types, string
+            # literals) rekeys every procedure, so it edits them all.
+            edited = {
+                proc
+                for proc in set(previous) | set(keys)
+                if previous.get(proc) != keys.get(proc)
+            }
             scoped = miss_procs <= edited
             metrics.post_edit_solves += 1
             if scoped:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.summaries.solver as solver_module
 from repro.core.kernel import KernelAnalysis
 from repro.core.worklist import MayHoldAnalysis
 from repro.frontend.semantics import parse_and_analyze
@@ -227,16 +228,16 @@ def test_lowered_c_summary_equivalent(filename):
     _assert_store_equal(icfg, kernel, store, "kernel", "summary")
 
 
-def test_lowered_c_summary_counters_independent_of_jobs():
+def test_lowered_c_summary_counters_independent_of_jobs(monkeypatch):
     """Worker transport packs a procedure's kernel and restores it with
     every slot unjoined; a live kernel reaches the same state at the end
     of each drain, so join counters do not depend on the job count."""
+    # The pool runs at jobs=2 even on a 1-core host.
+    monkeypatch.setattr(solver_module, "_cores", lambda: 8)
     reports = []
     for jobs in (1, 2):
         analyzed, icfg = _lowered("intern.c")
-        solution = solve_summary(
-            analyzed, icfg, k=1, jobs=jobs, oversubscribe=True
-        )
+        solution = solve_summary(analyzed, icfg, k=1, jobs=jobs)
         counters = solution.engine.as_dict()
         # The intern tables are process-wide gauges, not run counters.
         del counters["interned_names"], counters["interned_pairs"]

@@ -66,13 +66,16 @@ class TestSummaryEngineDeterminism:
     for every job count (strict-barrier rounds; see the solver module
     docstring)."""
 
-    def test_summary_solutions_byte_identical_across_job_counts(self):
+    def test_summary_solutions_byte_identical_across_job_counts(self, monkeypatch):
+        import repro.summaries.solver as solver_module
         from repro.frontend.semantics import parse_and_analyze
         from repro.icfg.builder import build_icfg
         from repro.io import solution_to_dict
         from repro.programs import ProgramSpec, generate_program
         from repro.summaries.solver import solve_summary
 
+        # The pool runs at jobs 2 and 4 even on a 1- or 2-core host.
+        monkeypatch.setattr(solver_module, "_cores", lambda: 8)
         source = generate_program(ProgramSpec("summary-par", seed=2))
         documents = []
         for jobs in (1, 2, 4):
@@ -82,9 +85,7 @@ class TestSummaryEngineDeterminism:
             # nothing to do with scheduling.
             analyzed = parse_and_analyze(source)
             icfg = build_icfg(analyzed)
-            solution = solve_summary(
-                analyzed, icfg, k=2, jobs=jobs, oversubscribe=True
-            )
+            solution = solve_summary(analyzed, icfg, k=2, jobs=jobs)
             assert solution.complete
             documents.append(
                 json.dumps(solution_to_dict(solution, packed=True), sort_keys=True)

@@ -2,14 +2,16 @@
 
 Two layers are exercised: the dense-ID interning of names, pairs and
 assumptions (ids are dense, stable and decode back to the interned
-object), and the packed fact store (add / CLEAN-upgrade / iterate /
-snapshot-during-mutation behave exactly like the reference
-``MayHoldStore``).
+object), and the fact columns (add / CLEAN-upgrade / iterate through
+the kernel's own methods and indexes, and read back through its
+:class:`~repro.core.columns.ColumnStore`, behave exactly like the
+reference ``MayHoldStore``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columns import ColumnStore
 from repro.core.kernel import KernelAnalysis
 from repro.core.store import MayHoldStore
 from repro.frontend.semantics import parse_and_analyze
@@ -96,6 +98,21 @@ ops = st.lists(
 )
 
 
+def _make_true(kernel, nid, assumption, pair, clean) -> bool:
+    """The kernel's make_true on objects: intern, then add or upgrade."""
+    return kernel._make_true(
+        nid, kernel._aa_id(assumption), kernel._pair_id(pair), 1 if clean else 0
+    )
+
+
+def _decoded(kernel, bucket) -> set:
+    """The ``(assumption, pair)`` of each entry id in ``bucket``."""
+    return {
+        (kernel._aas[kernel._entry_aa[e]], kernel._pairs[kernel._entry_pair[e]])
+        for e in bucket
+    }
+
+
 class TestFactColumns:
     @given(ops)
     @settings(max_examples=60, deadline=None)
@@ -106,30 +123,30 @@ class TestFactColumns:
         for offset, assumption, pair, clean in op_list:
             nid = offset % n_nodes
             created_ref = reference.make_true(nid, assumption, pair, clean)
-            created_ker = kernel.store.make_true(nid, assumption, pair, clean)
+            created_ker = _make_true(kernel, nid, assumption, pair, clean)
             assert created_ref == created_ker
-        assert dict(reference.facts()) == dict(kernel.store.facts())
-        assert len(reference) == len(kernel.store)
+        store = ColumnStore.of_kernel(kernel)
+        assert dict(reference.facts()) == dict(store.facts())
+        assert len(reference) == len(store)
+        assert reference.pair_counts() == store.pair_counts()
         for offset, assumption, pair, _ in op_list:
             nid = offset % n_nodes
-            assert reference.holds(nid, assumption, pair)
-            assert kernel.store.holds(nid, assumption, pair)
-            assert reference.is_clean(nid, assumption, pair) == kernel.store.is_clean(
-                nid, assumption, pair
-            )
-            assert reference.pairs_at(nid) == kernel.store.pairs_at(nid)
-            assert set(reference.at_node(nid)) == set(kernel.store.at_node(nid))
+            assert reference.pairs_at(nid) == store.pairs_at(nid)
+            assert set(reference.at_node(nid)) == _decoded(kernel, kernel._by_node[nid])
+            base_index = kernel._by_node_base[nid]
             for name in (pair.first, pair.second):
-                assert set(reference.at_node_with_name(nid, name)) == set(
-                    kernel.store.at_node_with_name(nid, name)
-                )
-                assert set(reference.at_node_with_base(nid, name.base)) == set(
-                    kernel.store.at_node_with_base(nid, name.base)
-                )
+                assert reference.partners(nid, name) == store.partners(nid, name)
+                if base_index is not None:
+                    assert set(reference.at_node_with_base(nid, name.base)) == (
+                        _decoded(kernel, base_index.get(name.base, ()))
+                    )
+            assumed_index = kernel._by_node_assumed[nid]
             for assumed in assumption:
-                assert set(reference.at_node_assuming(nid, assumed)) == set(
-                    kernel.store.at_node_assuming(nid, assumed)
-                )
+                if assumed_index is not None:
+                    bucket = assumed_index.get(kernel._pair_ids[assumed], ())
+                    assert set(reference.at_node_assuming(nid, assumed)) == (
+                        _decoded(kernel, bucket)
+                    )
 
     @given(ops)
     @settings(max_examples=40, deadline=None)
@@ -141,34 +158,34 @@ class TestFactColumns:
         ever_clean: set = set()
         for offset, assumption, pair, clean in op_list:
             nid = offset % n_nodes
-            kernel.store.make_true(nid, assumption, pair, clean)
+            _make_true(kernel, nid, assumption, pair, clean)
             if clean:
                 ever_clean.add((nid, assumption, pair))
-        for fact, clean in kernel.store.facts():
+        for fact, clean in ColumnStore.of_kernel(kernel).facts():
             assert clean == (fact in ever_clean)
 
     @given(ops)
     @settings(max_examples=40, deadline=None)
     def test_bucket_snapshot_stable_during_mutation(self, op_list):
-        # Iterating a node's facts while inserting new ones must not
-        # see (or be corrupted by) the concurrent growth — the store
-        # snapshots the bucket at iteration start.
+        # Answers are snapshots: a caller that grows a set it got back
+        # changes nothing in the store, which two solutions may share.
         kernel, icfg = _fresh_kernel()
         n_nodes = len(icfg.nodes)
         for offset, assumption, pair, clean in op_list:
-            kernel.store.make_true(offset % n_nodes, assumption, pair, clean)
+            _make_true(kernel, offset % n_nodes, assumption, pair, clean)
+        store = ColumnStore.of_kernel(kernel)
         nid = op_list[0][0] % n_nodes
-        before = list(kernel.store.at_node(nid))
-        seen = []
+        name = op_list[0][2].first
+        before = (store.pairs_at(nid), store.partners(nid, name), store.pair_counts())
         extra = AliasPair(
             ObjectName("snapshot$a").deref(), ObjectName("snapshot$b")
         )
-        for i, item in enumerate(kernel.store.at_node(nid)):
-            seen.append(item)
-            if i == 0:
-                kernel.store.make_true(nid, (), extra, False)
-        assert seen == before
-        assert ((), extra) in set(kernel.store.at_node(nid))
+        store.pairs_at(nid).add(extra)
+        store.partners(nid, name).add(extra.first)
+        assert not isinstance(store.pair_counts().pairs, set)
+        assert (store.pairs_at(nid), store.partners(nid, name)) == before[:2]
+        assert store.pair_counts() == before[2]
+        assert extra not in store.pairs_at(nid)
 
     @given(ops)
     @settings(max_examples=30, deadline=None)
@@ -176,7 +193,7 @@ class TestFactColumns:
         kernel, icfg = _fresh_kernel()
         n_nodes = len(icfg.nodes)
         for offset, assumption, pair, clean in op_list:
-            kernel.store.make_true(offset % n_nodes, assumption, pair, clean)
-        clean_now = sum(1 for _, clean in kernel.store.facts() if clean)
-        assert kernel.store.taint_all() == clean_now
-        assert all(not clean for _, clean in kernel.store.facts())
+            _make_true(kernel, offset % n_nodes, assumption, pair, clean)
+        clean_now = sum(1 for _, clean in ColumnStore.of_kernel(kernel).facts() if clean)
+        assert kernel._taint_all() == clean_now
+        assert all(not clean for _, clean in ColumnStore.of_kernel(kernel).facts())

@@ -20,7 +20,7 @@ import pytest
 
 from repro.clients.conflicts import ConflictAnalysis
 from repro.core.analysis import analyze_program
-from repro.core.kernel import KernelStore
+from repro.core.columns import ColumnStore
 from repro.core.store import CLEAN
 from repro.frontend.semantics import analyze, parse_and_analyze
 from repro.icfg.builder import IcfgBuilder
@@ -371,8 +371,9 @@ def test_may_alias_names_through_a_truncated_member():
 
 
 def test_kernel_queries_never_decode_every_fact(monkeypatch):
-    """Point queries and aggregates read the kernel's name index and
-    fact columns, never the object-level fact iterators."""
+    """Point queries and aggregates read the column store's name index
+    and fact columns, never the object-level fact iterators; the
+    aggregates are recounted here, not read from the kept counts."""
     _, icfg, solution = solved("linked_list-k1")
     expected = {
         "stats": solution.stats_dict()["solution"],
@@ -385,9 +386,10 @@ def test_kernel_queries_never_decode_every_fact(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("query decoded the whole store")
 
-    for method in ("at_node", "pairs_at", "facts"):
-        monkeypatch.setattr(KernelStore, method, refuse)
-    assert isinstance(solution.store, KernelStore)
+    for method in ("pairs_at", "facts", "facts_json"):
+        monkeypatch.setattr(ColumnStore, method, refuse)
+    assert isinstance(solution.store, ColumnStore)
+    monkeypatch.setattr(solution.store, "_counts", None)
     assert [solution.alias_query(n, a, b) for n, a, b in draws] == answers
     assert [solution.may_alias_names(n, a) for n, a, _ in draws] == names
     assert solution.program_aliases() == expected["aliases"]

@@ -116,8 +116,8 @@ class TestBudgetPartial:
 
         monkeypatch.setattr(MayHoldStore, "taint_all", leaky_taint_all)
 
-        # The kernel demotes through its private _taint_all (both at
-        # the budget trip and via KernelStore.taint_all), so leak there.
+        # The kernel demotes through its private _taint_all at the
+        # budget trip, so leak there.
         kernel_original = KernelAnalysis._taint_all
 
         def leaky_kernel_taint_all(self):

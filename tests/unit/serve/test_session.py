@@ -191,6 +191,25 @@ class TestScopedInvalidation:
         assert set(doc.last_solve["edited_procs"]) >= {"helper", "main"}
         assert doc.last_solve["scoped"] is True
 
+    def test_literal_renumbering_is_an_environment_edit(self, session):
+        # A literal added to ``a`` renames ``h``'s ``$str0`` to
+        # ``$str1`` under an unchanged text of ``h``; the literal table
+        # closes the environment text, so every procedure is edited.
+        source = (
+            "char *g; void a(void) { char *p; p = 0; } "
+            'void h(void) { g = "x"; } '
+            "int main(void) { a(); h(); return 0; }"
+        )
+        session.upsert("a.c", source)
+        session.ensure_solved("a.c")
+        session.upsert("a.c", source.replace("p = 0;", 'p = "y";'))
+        doc = session.ensure_solved("a.c")
+        assert doc.last_solve["edited_procs"] == ["a", "h", "main"]
+        assert doc.last_solve["scoped"] is True
+        pairs = session.query("a.c", 1)["pairs"]
+        assert any("$str1" in pair for pair in pairs)
+        assert not any("$str0" in pair and "*g" in pair for pair in pairs)
+
     def test_noop_reupsert_does_not_resolve(self, session):
         session.upsert("a.c", PROGRAM)
         session.ensure_solved("a.c")

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache.store import SolutionCache
+from repro.core.columns import ColumnStore
 from repro.frontend.semantics import parse_and_analyze
 from repro.icfg.builder import build_icfg
 from repro.io import pair_to_json
@@ -37,26 +38,24 @@ def _canon(obj):
 
 def _reference_harvest(solver):
     kernel = solver.kernel
-    store = kernel.store
+    facts = dict(ColumnStore.of_kernel(kernel).facts())
     ctx = kernel.ctx
     seeds = {}
     for callee in solver.callees:
         entry_nid = solver.icfg.entry_of(callee).nid
-        pairs = [pair_to_json(pair) for _aa, pair in store.at_node(entry_nid)]
+        pairs = [
+            pair_to_json(pair) for (nid, _aa, pair) in facts if nid == entry_nid
+        ]
         seeds[callee] = sorted(pairs, key=_canon)
     exits = []
-    for assumption, pair in store.at_node(solver.exit_nid):
-        if not all(
+    for (nid, assumption, pair), clean in facts.items():
+        if nid != solver.exit_nid or not all(
             is_nonvisible_based(name) or ctx.survives_return(name, solver.proc)
             for name in pair
         ):
             continue
         exits.append(
-            [
-                [pair_to_json(p) for p in assumption],
-                pair_to_json(pair),
-                bool(store.taint_of(solver.exit_nid, assumption, pair)),
-            ]
+            [[pair_to_json(p) for p in assumption], pair_to_json(pair), clean]
         )
     exits.sort(key=_canon)
     return {"seeds": seeds, "exits": exits}

@@ -13,11 +13,13 @@ import pytest
 import repro.summaries.solver as solver_module
 from repro import analyze_source
 from repro.cache.store import SolutionCache
+from repro.core.columns import ColumnStore
 from repro.core.kernel import KernelAnalysis
 from repro.core.metrics import strip_timing
 from repro.core.solution import MayAliasSolution
 from repro.frontend.semantics import parse_and_analyze
 from repro.icfg.builder import build_icfg
+from repro.io import rebuild_solution, solution_to_dict
 from repro.programs import ProgramSpec, generate_program
 from repro.summaries.envelope import summary_entry_key
 from repro.summaries.solver import (
@@ -78,13 +80,29 @@ CALLS_F = (
 )
 CALLS_F_DECLARED = CALLS_F.replace("void f(void) { y = 1; }", "void f(void);")
 
+#: String literals are globals ``$str0``, ``$str1``, ... numbered across
+#: the whole program.  A literal added to ``a`` renumbers ``h``'s under
+#: an unchanged text of ``h``; only the environment text's literal table
+#: tells the two programs' keys apart.
+LITERALS = (
+    "char *g; void a(void) { char *p; p = 0; } "
+    'void h(void) { g = "x"; } '
+    "int main(void) { a(); h(); return 0; }"
+)
+LITERALS_RENUMBERED = LITERALS.replace("p = 0;", 'p = "y";')
+
+
+@pytest.fixture(autouse=True)
+def _eight_cores(monkeypatch):
+    """Solves at ``jobs > 1`` run their worker pool at the requested
+    size even on a 1- or 2-core host."""
+    monkeypatch.setattr(solver_module, "_cores", lambda: 8)
+
 
 def _analysis(source, k=2, cache=None, jobs=1):
     analyzed = parse_and_analyze(source)
     icfg = build_icfg(analyzed)
-    analysis = SummaryAnalysis(
-        analyzed, icfg, k=k, cache=cache, jobs=jobs, oversubscribe=True
-    )
+    analysis = SummaryAnalysis(analyzed, icfg, k=k, cache=cache, jobs=jobs)
     analysis.run()
     return analysis
 
@@ -100,7 +118,6 @@ def _solution(source, cache=None, jobs=1, previous=None, max_facts=None):
         max_facts=max_facts,
         cache=cache,
         jobs=jobs,
-        oversubscribe=True,
         previous=previous,
     )
     store = analysis.run()
@@ -144,7 +161,7 @@ class TestPortableState:
         analysis = _analysis(SOURCE)
         solver = analysis.solvers["helper"]
         solver.ensure_live()
-        before = dict(solver.kernel.store.facts())
+        before = dict(ColumnStore.of_kernel(solver.kernel).facts())
         portable = solver.state_portable()
 
         fresh = ProcSolver(
@@ -152,7 +169,7 @@ class TestPortableState:
         )
         fresh.adopt_portable(portable)
         fresh.ensure_live()
-        assert dict(fresh.kernel.store.facts()) == before
+        assert dict(ColumnStore.of_kernel(fresh.kernel).facts()) == before
 
     def test_tokens_survive_renumbering_by_an_edit_elsewhere(self):
         # Export helper's state from the original program, import it
@@ -164,7 +181,9 @@ class TestPortableState:
         solver.ensure_live()
         portable = solver.state_portable()
         by_token = {}
-        for (nid, assumption, pair), clean in solver.kernel.store.facts():
+        for (nid, assumption, pair), clean in ColumnStore.of_kernel(
+            solver.kernel
+        ).facts():
             token = solver._token_of.get(nid)
             if token is not None:
                 by_token.setdefault(token, set()).add((assumption, pair, clean))
@@ -174,7 +193,9 @@ class TestPortableState:
         fresh = ProcSolver("helper", edited, edited_icfg, 2, None)
         fresh.adopt_portable(portable)
         fresh.ensure_live()
-        for (nid, assumption, pair), clean in fresh.kernel.store.facts():
+        for (nid, assumption, pair), clean in ColumnStore.of_kernel(
+            fresh.kernel
+        ).facts():
             token = fresh._token_of.get(nid)
             assert token is not None
             assert (assumption, pair, clean) in by_token[token]
@@ -251,7 +272,6 @@ class TestPoolFallback:
             k=2,
             jobs=2,
             cache=SolutionCache(tmp_path),
-            oversubscribe=True,
         )
         analysis.run()
         assert len(parallel_calls) == 2
@@ -318,18 +338,24 @@ class TestCacheReplay:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
-        "edited",
-        [CHAIN_NEUTRAL_EDIT, CHAIN_ALIASING_EDIT],
-        ids=["neutral-edit", "aliasing-edit"],
+        "source, edited, replays",
+        [
+            (CHAIN, CHAIN_NEUTRAL_EDIT, True),
+            (CHAIN, CHAIN_ALIASING_EDIT, True),
+            (LITERALS, LITERALS_RENUMBERED, False),
+        ],
+        ids=["neutral-edit", "aliasing-edit", "literal-renumbered"],
     )
     def test_warm_solve_after_an_edit_equals_a_cacheless_solve(
-        self, tmp_path, edited, jobs
+        self, tmp_path, source, edited, replays, jobs
     ):
+        """A renumbered literal changes the environment text, so no
+        drain of the edited program may replay a stored state."""
         cache = SolutionCache(tmp_path)
-        _analysis(CHAIN, cache=cache, jobs=jobs)
+        _analysis(source, cache=cache, jobs=jobs)
         warm = _analysis(edited, cache=cache, jobs=jobs)
         fresh = _analysis(edited, jobs=jobs)
-        assert warm.cache_hits > 0
+        assert (warm.cache_hits > 0) == replays
         assert (warm.rounds, warm.drains) == (fresh.rounds, fresh.drains)
         assert list(warm.store.facts()) == list(fresh.store.facts())
         assert _engine_counters(warm) == _engine_counters(fresh)
@@ -348,6 +374,7 @@ class TestSegmentReuse:
             (CHAIN, CHAIN_GLOBALS_EDIT, {"leaf", "mid", "top", "main"}),
             (CALLS_F, CALLS_F_DECLARED, {"h", "main"}),
             (CALLS_F_DECLARED, CALLS_F, {"f", "h", "main"}),
+            (LITERALS, LITERALS_RENUMBERED, {"a", "h", "main"}),
         ],
         ids=[
             "first-proc-edit",
@@ -356,6 +383,7 @@ class TestSegmentReuse:
             "globals-edit",
             "body-removed",
             "body-added",
+            "literal-renumbered",
         ],
     )
     def test_warm_solve_from_the_previous_solution_equals_fresh_solves(
@@ -365,7 +393,8 @@ class TestSegmentReuse:
         procedure's node ids; a reused segment must still answer at
         the new ones.  Removing or adding ``f``'s body moves ``h``'s
         nodes under an unchanged text: no segment or stored state of
-        ``h`` may be read in the other layout."""
+        ``h`` may be read in the other layout, and no segment of ``h``
+        after a literal renumbers its own."""
         cache = SolutionCache(tmp_path)
         _, before = _solution(source, cache=cache, jobs=jobs)
         analysis, warm = _solution(edited, cache=cache, jobs=jobs, previous=before)
@@ -439,10 +468,9 @@ class TestSegmentReuse:
 
     def test_packed_payload_rebuilds_to_the_same_facts(self):
         analysis, solution = _solution(CHAIN)
-        rebuilt = KernelAnalysis(
-            analysis.analyzed, analysis.icfg, k=2
-        ).load_packed(solution.store.packed_json())
-        _assert_same_answers(analysis.icfg, rebuilt, solution.store)
+        document = solution_to_dict(solution, packed=True)
+        rebuilt = rebuild_solution(document, analysis.analyzed, analysis.icfg)
+        _assert_same_answers(analysis.icfg, rebuilt.store, solution.store)
 
 
 def _cut_fact_entry(packed):
@@ -554,17 +582,28 @@ class TestCorruptEntry:
 
 
 class TestKernelLifetime:
-    def test_dropped_solutions_free_their_kernels_without_a_collection(self):
-        # A kernel's store is a view that points at the kernel, never
-        # the reverse, and a summary segment holds its kernel's columns
-        # and indexes, never the kernel.  So dropping the last reference
-        # frees the kernels at once, with the cycle collector off, and
-        # a dropped summary solution frees its segments.
+    def test_dropped_solutions_free_their_kernels_without_a_collection(
+        self, monkeypatch
+    ):
+        # A column store holds its kernel's columns and per-node lists,
+        # never the kernel.  So the kernel engine's kernel is freed as
+        # soon as analyze_program returns, with the cycle collector off;
+        # dropping a summary analysis frees its kernels at once, and a
+        # dropped summary solution frees its segments.
+        kernels = []
+        run = KernelAnalysis.run
+
+        def tracked_run(self):
+            kernels.append(weakref.ref(self))
+            return run(self)
+
+        monkeypatch.setattr(KernelAnalysis, "run", tracked_run)
         enabled = gc.isenabled()
         gc.disable()
         try:
             solution = analyze_source(SOURCE)
-            kernels = [weakref.ref(solution.store._kernel)]
+            assert len(kernels) == 1 and kernels[0]() is None
+            assert solution.may_alias(solution.icfg.exit_of("main"))
             del solution
             analysis, solution = _solution(SOURCE)
             kernels.extend(
