@@ -3,6 +3,7 @@ and — just as load-bearing — what must *not*."""
 
 from repro.cache.keys import ENGINE_CODE_VERSION
 from repro.frontend.semantics import parse_and_analyze
+from repro.icfg.builder import build_icfg
 from repro.summaries.envelope import (
     SUMMARY_ENTRY_SCHEMA,
     load_summary_envelope,
@@ -36,17 +37,20 @@ CALLS_F = (
 CALLS_F_DECLARED = CALLS_F.replace("void f(void) { y = 1; }", "void f(void);")
 
 
-def _keys(source, k=3):
+def _env(source):
     analyzed = parse_and_analyze(source)
-    env = proc_environment_text(analyzed)
+    return analyzed, proc_environment_text(analyzed, build_icfg(analyzed))
+
+
+def _keys(source, k=3):
+    analyzed, env = _env(source)
     texts = proc_program_texts(analyzed)
     return {proc: summary_proc_key(env, text, k) for proc, text in texts.items()}
 
 
 class TestProcKeys:
     def test_environment_text_has_signatures_not_bodies(self):
-        analyzed = parse_and_analyze(SOURCE)
-        env = proc_environment_text(analyzed)
+        env = _env(SOURCE)[1]
         assert "helper" in env and "main" in env
         assert "&x" not in env  # no statement bodies
 
@@ -72,15 +76,14 @@ class TestProcKeys:
     def test_a_program_that_defines_what_it_declares_keeps_its_text(self):
         # Only a function declared without a body adds to the
         # environment text, so the keys of every other program stay.
-        assert proc_environment_text(parse_and_analyze(SOURCE)) == (
+        assert _env(SOURCE)[1] == (
             "int *g;\n\nint x;\n\nvoid helper(void);\n\nint main(void);\n"
         )
         forward = "void helper(void);\n" + SOURCE
-        assert "no body" not in proc_environment_text(parse_and_analyze(forward))
+        assert "no body" not in _env(forward)[1]
 
     def test_k_and_code_version_change_the_key(self):
-        analyzed = parse_and_analyze(SOURCE)
-        env = proc_environment_text(analyzed)
+        analyzed, env = _env(SOURCE)
         text = proc_program_texts(analyzed)["helper"]
         assert summary_proc_key(env, text, 2) != summary_proc_key(env, text, 3)
         assert summary_proc_key(env, text, 3) != summary_proc_key(
